@@ -84,15 +84,17 @@ inline void print_banner(const char* title, const char* paper_ref) {
   std::printf("==============================================================\n");
 }
 
+/// `row_label` names what print_series_row's leading integer is.
 inline void print_series_header(const char* metric,
-                                const std::vector<std::string>& filters) {
+                                const std::vector<std::string>& filters,
+                                const char* row_label = "log2size") {
   if (csv_mode()) {
-    std::printf("\nmetric,%s\nlog2size", metric);
+    std::printf("\nmetric,%s\n%s", metric, row_label);
     for (const auto& f : filters) std::printf(",%s", f.c_str());
     std::printf("\n");
     return;
   }
-  std::printf("\n-- %s --\n%-10s", metric, "log2size");
+  std::printf("\n-- %s --\n%-10s", metric, row_label);
   for (const auto& f : filters) std::printf("%12s", f.c_str());
   std::printf("\n");
 }

@@ -260,7 +260,7 @@ int main(int argc, char** argv) {
   }
 
   auto print_phase = [&](const char* label, const phase_result* res) {
-    bench::print_series_header(label, cols);
+    bench::print_series_header(label, cols, "batch");
     for (size_t bi = 0; bi < std::size(kBatchSizes); ++bi) {
       double best = 0;
       std::vector<double> vals;
@@ -272,7 +272,6 @@ int main(int argc, char** argv) {
       vals.push_back(res[bi].inproc_mops);
       vals.push_back(res[bi].inproc_mops > 0 ? best / res[bi].inproc_mops
                                              : 0.0);
-      // Rows are batch sizes, not log2 filter sizes, in this sweep.
       bench::print_series_row(static_cast<int>(kBatchSizes[bi]), vals);
     }
   };
@@ -352,7 +351,7 @@ int main(int argc, char** argv) {
         "\nreactor sweep (batch=%zu, %d conns, 8 shards; last column is "
         "max-reactor / 1-reactor speedup):\n",
         batch, conns);
-    bench::print_series_header("reactor Mops/s", rcols);
+    bench::print_series_header("reactor Mops/s", rcols, "phase");
     auto rrow = [&](int tag, const std::vector<double>& v) {
       std::vector<double> vals(v);
       vals.push_back(v[0] > 0 ? v.back() / v[0] : 0.0);

@@ -181,7 +181,7 @@ int main(int argc, char** argv) {
   std::printf("backend: %s, %zu keys/frame; rows are log2 keys, cells are "
               "restart ms\n",
               store::backend_name(backend), kFrameKeys);
-  bench::print_series_header("restart ms", cols);
+  bench::print_series_header("restart ms", cols, "log2keys");
 
   for (int lg : log_sizes) {
     const uint64_t n = uint64_t{1} << lg;

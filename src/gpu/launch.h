@@ -19,8 +19,6 @@
 
 namespace gf::gpu {
 
-inline constexpr uint64_t kDefaultGrain = 1024;
-
 /// One logical GPU thread per index in [0, n).
 template <class Fn>
 void launch_threads(uint64_t n, Fn&& fn, uint64_t grain = kDefaultGrain) {

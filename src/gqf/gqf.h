@@ -750,7 +750,9 @@ void gqf_filter<SlotT>::remove_slots(uint64_t q, uint64_t from,
 
   // Recompute offsets for every block whose first slot lies in (cs, ce]
   // — left to right, so each computation sees already-fixed predecessors.
-  for (uint64_t b = cs / 64 + 1; b <= ce / 64; ++b) {
+  // A cluster that runs to the end of the table has ce == total_slots_,
+  // whose block is one past the last.
+  for (uint64_t b = cs / 64 + 1; b <= ce / 64 && b < blocks_.size(); ++b) {
     uint64_t boundary = 64 * b;
     if (boundary == 0) continue;
     uint64_t re = run_end(boundary - 1);

@@ -297,6 +297,16 @@ void server::register_metrics() {
                         [this, relaxed] {
                           return relaxed(read_only_refusals_);
                         });
+  // Process-wide pool launches by how they ran (gpu/thread_pool.h).
+  registry_.add_counter("gf_pool_launches_total", "mode=\"parallel\"", [] {
+    return gpu::thread_pool::instance().launches().parallel;
+  });
+  registry_.add_counter("gf_pool_launches_total", "mode=\"small\"", [] {
+    return gpu::thread_pool::instance().launches().small;
+  });
+  registry_.add_counter("gf_pool_launches_total", "mode=\"contended\"", [] {
+    return gpu::thread_pool::instance().launches().contended;
+  });
   registry_.add_counter("gf_trace_events_total", "", [this] {
     uint64_t n = 0;
     for (const auto& r : reactors_) n += r->trace.recorded();
@@ -2136,12 +2146,13 @@ void server::handle_frame(reactor& r, connection& c, const frame& f) {
         // apply() path cannot carry — so probe point-wise but in parallel
         // over the pool; point queries are thread-safe on every backend.
         // Workers partition by bitmap *word*, so every word has exactly
-        // one writer and the fill needs no atomics.
+        // one writer and the fill needs no atomics.  The launch is sized
+        // in keys, not words: a word carries 64 probes.
         std::vector<uint64_t> keys = decode_keys(f);
         // relaxed: single-writer (event loop) telemetry; readers need no ordering.
         keys_.fetch_add(keys.size(), std::memory_order_relaxed);
         std::vector<uint64_t> words(bitmap_words(keys.size()), 0);
-        gpu::launch_ranges(
+        gpu::thread_pool::instance().parallel_ranges(
             words.size(), [&](unsigned, uint64_t wb, uint64_t we) {
               for (uint64_t w = wb; w < we; ++w) {
                 uint64_t bits = 0;
@@ -2153,7 +2164,8 @@ void server::handle_frame(reactor& r, connection& c, const frame& f) {
                     bits |= uint64_t{1} << (i - base);
                 words[w] = bits;
               }
-            });
+            },
+            keys.size());
         t_applied = obs::now_ns();
         append_out(c, encode_query_response(f.sequence, f.key_count, words));
         break;

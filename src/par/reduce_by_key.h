@@ -91,7 +91,9 @@ keyed_counts reduce_by_key_impl(std::span<const uint64_t> sorted,
 
   // Recount per final ranges: distinct keys whose run *ends* inside the
   // range.  (Simpler and safe: a run ends at i when sorted[i] != sorted[i+1]
-  // or i == n-1; every run ends exactly once.)
+  // or i == n-1; every run ends exactly once.)  Each index here is a whole
+  // worker range, so this launch and phase 2's are sized by the n elements
+  // the ranges cover, like phase 1's.
   std::vector<uint64_t> distinct(workers, 0);
   pool.parallel_ranges(workers, [&](unsigned, uint64_t wb, uint64_t we) {
     for (uint64_t w = wb; w < we; ++w) {
@@ -100,7 +102,7 @@ keyed_counts reduce_by_key_impl(std::span<const uint64_t> sorted,
         if (i + 1 == n || sorted[i] != sorted[i + 1]) ++u;
       distinct[w] = u;
     }
-  });
+  }, /*items=*/n);
 
   uint64_t total = 0;
   std::vector<uint64_t> offset(workers + 1, 0);
@@ -138,7 +140,7 @@ keyed_counts reduce_by_key_impl(std::span<const uint64_t> sorted,
         }
       }
     }
-  });
+  }, /*items=*/n);
   return out;
 }
 

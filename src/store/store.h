@@ -24,6 +24,10 @@
 //                     through the backend's native bulk ops with §5.4
 //                     count-compression in front (store/shard.h).
 //
+// Every tier's launch is sized by the keys its batch carries: a batch too
+// small to pay for waking gf::gpu::thread_pool runs its shards serially on
+// the caller (for_each_shard; the rule lives in gpu/thread_pool.h).
+//
 // Skew relief: routing is static, so a hot shard cannot shed load to its
 // neighbours — and filters cannot enumerate their keys, so it cannot be
 // rehashed either.  maintain() instead *grows* pressured shards in place
@@ -135,16 +139,13 @@ class filter_store {
   /// Drain every shard's queue, one logical thread per shard.
   batch_result flush() {
     std::vector<batch_result> per(shards_.size());
-    gpu::launch_threads(
-        shards_.size(),
-        [&](uint64_t s) {
-          util::counters_scope cs(metrics_->gf_counters);
-          const uint64_t t0 = obs::now_ns();
-          per[s] = shards_[s]->drain();
-          metrics_->drain_shard_ns.record_lane(static_cast<unsigned>(s),
-                                               obs::now_ns() - t0);
-        },
-        /*grain=*/1);
+    for_each_shard(pending(), [&](uint64_t s) {
+      util::counters_scope cs(metrics_->gf_counters);
+      const uint64_t t0 = obs::now_ns();
+      per[s] = shards_[s]->drain();
+      metrics_->drain_shard_ns.record_lane(static_cast<unsigned>(s),
+                                           obs::now_ns() - t0);
+    });
     batch_result total;
     for (const batch_result& r : per) total.merge(r);
     return total;
@@ -158,18 +159,14 @@ class filter_store {
     auto offsets = partition_by_shard<op>(
         ops, parted, [](const op& o) { return o.key; });
     std::vector<batch_result> per(shards_.size());
-    gpu::launch_threads(
-        shards_.size(),
-        [&](uint64_t s) {
-          util::counters_scope cs(metrics_->gf_counters);
-          const uint64_t t0 = obs::now_ns();
-          per[s] = shards_[s]->apply(
-              std::span<const op>(parted.data() + offsets[s],
-                                  offsets[s + 1] - offsets[s]));
-          metrics_->apply_shard_ns.record_lane(static_cast<unsigned>(s),
-                                               obs::now_ns() - t0);
-        },
-        /*grain=*/1);
+    for_each_shard(ops.size(), [&](uint64_t s) {
+      util::counters_scope cs(metrics_->gf_counters);
+      const uint64_t t0 = obs::now_ns();
+      per[s] = shards_[s]->apply(std::span<const op>(
+          parted.data() + offsets[s], offsets[s + 1] - offsets[s]));
+      metrics_->apply_shard_ns.record_lane(static_cast<unsigned>(s),
+                                           obs::now_ns() - t0);
+    });
     batch_result total;
     for (const batch_result& r : per) total.merge(r);
     return total;
@@ -188,20 +185,16 @@ class filter_store {
     auto offsets = partition_by_shard<uint64_t>(
         keys, parted, [](uint64_t k) { return k; });
     std::atomic<uint64_t> ok{0};
-    gpu::launch_threads(
-        shards_.size(),
-        [&](uint64_t s) {
-          util::counters_scope cs(metrics_->gf_counters);
-          const uint64_t t0 = obs::now_ns();
-          std::span<const uint64_t> slice(parted.data() + offsets[s],
-                                          offsets[s + 1] - offsets[s]);
-          // relaxed: worker-private tally; the launch join publishes it to the reader.
-          ok.fetch_add(shards_[s]->insert_span(slice),
-                       std::memory_order_relaxed);
-          metrics_->bulk_insert_shard_ns.record_lane(static_cast<unsigned>(s),
-                                                     obs::now_ns() - t0);
-        },
-        /*grain=*/1);
+    for_each_shard(n, [&](uint64_t s) {
+      util::counters_scope cs(metrics_->gf_counters);
+      const uint64_t t0 = obs::now_ns();
+      std::span<const uint64_t> slice(parted.data() + offsets[s],
+                                      offsets[s + 1] - offsets[s]);
+      // relaxed: worker-private tally; the launch join publishes it to the reader.
+      ok.fetch_add(shards_[s]->insert_span(slice), std::memory_order_relaxed);
+      metrics_->bulk_insert_shard_ns.record_lane(static_cast<unsigned>(s),
+                                                 obs::now_ns() - t0);
+    });
     return ok.load();
   }
 
@@ -333,6 +326,33 @@ class filter_store {
   }
 
  private:
+  /// Run fn(s) once per shard, as one launch sized by the batch's `keys`:
+  /// shard-parallel over the pool for a batch big enough to pay for the
+  /// wake-up, otherwise every shard in order on the caller, which the pool
+  /// marks as a worker so launches nested inside a shard stay inline too
+  /// (thread_pool::run_on_all).  A single shard has no shard parallelism,
+  /// so it runs unmarked and its backend's own bulk phases decide.
+  template <class Fn>
+  void for_each_shard(uint64_t keys, Fn&& fn) const {
+    const uint64_t m = shards_.size();
+    if (m == 1) {
+      fn(uint64_t{0});
+      return;
+    }
+    std::atomic<uint64_t> next{0};
+    gpu::thread_pool::instance().run_on_all(
+        [&](unsigned) {
+          for (;;) {
+            // relaxed: the cursor hands out disjoint shards; the launch
+            // join publishes their results.
+            const uint64_t s = next.fetch_add(1, std::memory_order_relaxed);
+            if (s >= m) break;
+            fn(s);
+          }
+        },
+        keys);
+  }
+
   /// Stable parallel counting-sort partition of `in` into `out` by owning
   /// shard: per-worker histograms, an exclusive scan, and one scatter pass
   /// over identical static ranges.  `out` is the only O(n) allocation —

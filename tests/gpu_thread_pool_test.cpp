@@ -1,12 +1,27 @@
 #include "gpu/thread_pool.h"
 
 #include <gtest/gtest.h>
+#include <signal.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "gpu/launch.h"
+
+// TSan barely supports fork from a multi-threaded process (see
+// persist_wal_test.cpp); the fork test runs in every other build.
+#if defined(__SANITIZE_THREAD__)
+#define GF_TSAN_ACTIVE 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define GF_TSAN_ACTIVE 1
+#endif
+#endif
 
 namespace gf::gpu {
 namespace {
@@ -123,6 +138,110 @@ TEST(ThreadPool, ConcurrentLaunchesWithNestedLaunchesInside) {
   }
   for (auto& th : launchers) th.join();
   EXPECT_EQ(total.load(), uint64_t{kLaunchers} * 8 * 100);
+}
+
+TEST(ThreadPool, SmallLaunchRunsOnTheCallerMarkedAsWorker) {
+  // Below size() * kDefaultGrain items a launch runs every worker id on
+  // the caller, which counts as a worker meanwhile: launches nested inside
+  // run inline too, so nothing in it can wake the pool.
+  thread_pool pool(4);
+  const uint64_t threshold = uint64_t{pool.size()} * kDefaultGrain;
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<unsigned> ids;
+  std::atomic<uint64_t> nested{0}, off_caller{0};
+  pool.run_on_all(
+      [&](unsigned w) {
+        ids.push_back(w);
+        EXPECT_TRUE(pool.in_worker());
+        pool.parallel_for(0, threshold, 1, [&](uint64_t) {
+          if (std::this_thread::get_id() != caller) ++off_caller;
+          ++nested;
+        });
+        pool.parallel_ranges(threshold, [&](unsigned, uint64_t b,
+                                            uint64_t e) {
+          if (std::this_thread::get_id() != caller) ++off_caller;
+          nested += e - b;
+        });
+      },
+      threshold - 1);
+  EXPECT_FALSE(pool.in_worker());
+  EXPECT_EQ(ids, (std::vector<unsigned>{0, 1, 2, 3}));
+  EXPECT_EQ(nested.load(), 4 * 2 * threshold);
+  EXPECT_EQ(off_caller.load(), 0u);
+  EXPECT_EQ(pool.launches().parallel, 0u);
+  EXPECT_EQ(pool.launches().small, 1u);
+
+  // The same rule sizes parallel_ranges: threshold - 1 items stay on the
+  // caller, threshold items wake the pool.
+  pool.parallel_ranges(threshold - 1, [](unsigned, uint64_t, uint64_t) {});
+  EXPECT_EQ(pool.launches().parallel, 0u);
+  EXPECT_EQ(pool.launches().small, 2u);
+  pool.parallel_ranges(threshold, [](unsigned, uint64_t, uint64_t) {});
+  EXPECT_EQ(pool.launches().parallel, 1u);
+  // An explicit item count overrides the index count.
+  pool.parallel_ranges(4, [](unsigned, uint64_t, uint64_t) {}, threshold);
+  EXPECT_EQ(pool.launches().parallel, 2u);
+  EXPECT_EQ(pool.launches().contended, 0u);
+}
+
+TEST(ThreadPool, LaunchAgainstABusyPoolCountsAsContended) {
+  thread_pool pool(2);
+  std::atomic<bool> holding{false}, released{false};
+  std::thread holder([&] {
+    pool.run_on_all([&](unsigned w) {
+      if (w != 0) return;
+      holding = true;
+      while (!released) std::this_thread::yield();
+    });
+  });
+  while (!holding) std::this_thread::yield();
+  std::atomic<int> ran{0};
+  pool.run_on_all([&](unsigned) { ++ran; });
+  released = true;
+  holder.join();
+  EXPECT_EQ(ran.load(), 2);
+  EXPECT_EQ(pool.launches().parallel, 1u);
+  EXPECT_EQ(pool.launches().contended, 1u);
+}
+
+TEST(ThreadPool, ForkedChildRunsLaunchesInline) {
+#ifdef GF_TSAN_ACTIVE
+  GTEST_SKIP() << "fork from a multi-threaded process is unreliable under TSan";
+#endif
+  // Worker threads do not survive fork().  A child that launched on a
+  // pool its parent had warmed used to wake workers that do not exist in
+  // it and wait for them forever.
+  thread_pool pool(4);
+  const uint64_t n = uint64_t{pool.size()} * kDefaultGrain;
+  std::atomic<uint64_t> warm{0};
+  pool.parallel_for(0, n, 64, [&](uint64_t) { ++warm; });
+  ASSERT_EQ(warm.load(), n);
+
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    std::atomic<uint64_t> a{0}, b{0};
+    pool.parallel_for(0, n, 64, [&](uint64_t) { ++a; });
+    pool.parallel_ranges(n, [&](unsigned, uint64_t lo, uint64_t hi) {
+      b += hi - lo;
+    });
+    ::_exit(a.load() == n && b.load() == n ? 0 : 1);
+  }
+  int status = 0;
+  pid_t done = 0;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while ((done = ::waitpid(pid, &status, WNOHANG)) == 0 &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  if (done == 0) {
+    ::kill(pid, SIGKILL);
+    ::waitpid(pid, &status, 0);
+    FAIL() << "forked child hung in a pool launch";
+  }
+  ASSERT_EQ(done, pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0) << "child launches lost items";
 }
 
 TEST(ThreadPool, SequentialLaunchesReuseWorkers) {

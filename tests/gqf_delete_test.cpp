@@ -3,6 +3,7 @@
 #include <map>
 
 #include "gqf/gqf.h"
+#include "gqf/gqf_testing.h"
 #include "util/xorwow.h"
 
 namespace gf::gqf {
@@ -62,6 +63,28 @@ TEST(GqfDelete, ClusterSplitsAfterMiddleRemoval) {
   for (uint64_t h : hashes) {
     bool removed = (h >> 8) == 103;
     EXPECT_EQ(f.query_hash(h) > 0, !removed) << std::hex << h;
+  }
+}
+
+TEST(GqfDelete, EraseFromClusterEndingAtLastSlot) {
+  // One run of the last quotient fills the padding through the table's
+  // final slot, so the cluster has no empty slot after it.  Erasing from
+  // it must rebuild offsets only for blocks that exist.
+  gqf_filter<uint16_t> f(8, 16);
+  const uint64_t q = f.num_slots() - 1;
+  const uint64_t run = f.total_slots() - q;
+  for (uint64_t r = 0; r < run; ++r) ASSERT_TRUE(f.insert_hash((q << 16) | r));
+  gqf_introspect<uint16_t> in{f};
+  ASSERT_EQ(in.find_first_empty(q), f.total_slots());
+  std::string why;
+  ASSERT_TRUE(f.validate(&why)) << why;
+
+  for (uint64_t r : {uint64_t{7}, run / 2, run - 1})
+    ASSERT_TRUE(f.remove_hash((q << 16) | r));
+  ASSERT_TRUE(f.validate(&why)) << why;
+  for (uint64_t r = 0; r < run; ++r) {
+    const bool erased = r == 7 || r == run / 2 || r == run - 1;
+    ASSERT_EQ(f.query_hash((q << 16) | r), erased ? 0u : 1u) << r;
   }
 }
 

@@ -104,11 +104,18 @@ TEST(NetMetrics, ExpositionSchemaAndStageHistograms) {
         "gf_repl_ack_degraded_total", "gf_repl_replay_ring_bytes",
         "gf_repl_replay_ring_frames",
         "gf_wire_latency_ns", "gf_wire_stage_ns", "gf_store_maintain_ns",
-        "gf_store_bulk_shard_ns"}) {
+        "gf_store_bulk_shard_ns", "gf_pool_launches_total"}) {
     EXPECT_TRUE(has_line(text, std::string("\n") + name) ||
                 text.rfind(name, 0) == 0)
         << "missing metric family: " << name;
   }
+  for (const char* mode : {"parallel", "small", "contended"})
+    EXPECT_TRUE(has_line(text, std::string("gf_pool_launches_total{mode=\"") +
+                                   mode + "\"}"))
+        << mode;
+  // The workload's 1024-key frames sit below any multi-worker pool's
+  // launch threshold, so the server ran some launch inline as small.
+  EXPECT_GT(scrape(text, "gf_pool_launches_total{mode=\"small\"}"), 0u);
 
   // Per-opcode wire latency: the driven opcodes must have samples and a
   // nonzero p50 (a wire round trip cannot take 0ns).

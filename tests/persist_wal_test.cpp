@@ -9,6 +9,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <string>
@@ -341,6 +342,21 @@ TEST(PersistWal, CorruptTailFrameIsCutAtLastCleanBoundary) {
 
 // -- fork + SIGKILL drills ---------------------------------------------------
 
+/// Bytes in every WAL segment under `dir` so far.  The drills' 1 KiB
+/// segments rotate after a few frames, so one segment's size cannot tell
+/// how far the writer got.
+uint64_t logged_bytes(const std::string& dir) {
+  uint64_t n = 0;
+  std::error_code ec;
+  for (const auto& e : std::filesystem::directory_iterator(dir, ec)) {
+    const std::string name = e.path().filename().string();
+    if (name.rfind("wal-", 0) != 0 || !name.ends_with(".seg")) continue;
+    const auto size = e.file_size(ec);
+    if (!ec) n += size;
+  }
+  return n;
+}
+
 // The real thing: a writer process appending with fsync=every is killed at
 // a random instant.  Whatever prefix the survivor recovers must be exactly
 // the frames 1..last_seq, fully applied, regardless of where the kill
@@ -380,20 +396,26 @@ TEST(PersistWal, SigkillMidAppendLeavesRecoverablePrefix) {
       for (;;) ::pause();
     }
 
-    // Parent: wait for the first durable frame, then strike at a varying
-    // point in the stream.
-    const std::string seg = dir + "/" + persist::segment_file_name(1);
-    for (int spins = 0; spins < 20000; ++spins) {
-      std::error_code ec;
-      if (std::filesystem::exists(seg, ec) &&
-          file_size(seg) > persist::kSegmentHeaderBytes + (drill + 1) * 600u)
-        break;
+    // Parent: wait for the first durable frames, then strike at a varying
+    // point in the stream.  A writer that never logs fails the drill
+    // rather than being killed blind: recovering an empty log proves
+    // nothing about torn appends.
+    const uint64_t strike_at =
+        persist::kSegmentHeaderBytes + (drill + 1) * 600u;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    bool logging = false;
+    while (std::chrono::steady_clock::now() < deadline) {
+      logging = logged_bytes(dir) > strike_at;
+      if (logging) break;
       ::usleep(100);
     }
     ASSERT_EQ(::kill(pid, SIGKILL), 0);
     int ws = 0;
     ASSERT_EQ(::waitpid(pid, &ws, 0), pid);
     ASSERT_TRUE(WIFSIGNALED(ws));
+    ASSERT_TRUE(logging) << "drill " << drill
+                         << ": the writer never logged its first frames";
 
     durability_engine eng(small_wal(dir));
     auto st = eng.recover(boot);

@@ -7,8 +7,10 @@
 #include <memory>
 #include <span>
 #include <sstream>
+#include <string>
 #include <vector>
 
+#include "gpu/thread_pool.h"
 #include "store/store.h"
 #include "store/store_io.h"
 #include "util/xorwow.h"
@@ -241,6 +243,77 @@ TEST(StoreBulk, ApplyMixedRunsBatched) {
       r = s.apply(batch);
       EXPECT_EQ(r.erased + r.erase_missing, 1000u) << backend_name(backend);
       EXPECT_GE(r.erased, 990u) << backend_name(backend);
+    }
+  }
+}
+
+// -- Launch size gate -------------------------------------------------------
+//
+// A batch below pool width x kDefaultGrain keys runs on the caller instead
+// of waking the pool (gpu/thread_pool.h); the pool's launch counters say
+// which way each launch went.
+
+uint64_t launch_threshold() {
+  return uint64_t{gpu::thread_pool::instance().size()} * gpu::kDefaultGrain;
+}
+
+uint64_t parallel_launches() {
+  return gpu::thread_pool::instance().launches().parallel;
+}
+
+TEST(StoreBulk, SmallBatchesNeverWakeThePool) {
+  store::filter_store s(config(backend_kind::gqf, 8, 1 << 16));
+  auto keys = util::hashed_xorwow_items(128, 391);
+  std::vector<store::op> ops;
+  for (uint64_t k : keys) ops.push_back(store::make_insert(k, 2));
+
+  const uint64_t before = parallel_launches();
+  EXPECT_EQ(s.apply(ops).inserted, keys.size());
+  EXPECT_EQ(s.insert_bulk(keys), keys.size());
+  EXPECT_EQ(s.count_contained(keys), keys.size());
+  EXPECT_EQ(parallel_launches(), before)
+      << "a 128-key batch woke the pool";
+
+  if (gpu::thread_pool::instance().size() == 1) return;  // nothing to wake
+  auto big = util::hashed_xorwow_items(launch_threshold(), 392);
+  store::filter_store large(config(backend_kind::gqf, 8, 4 * big.size()));
+  EXPECT_EQ(large.insert_bulk(big), big.size());
+  EXPECT_GT(parallel_launches(), before)
+      << "a batch of pool width x kDefaultGrain keys ran inline";
+}
+
+TEST(StoreBulk, BatchesAtTheLaunchThresholdMatchThePointOracle) {
+  // One key below the threshold runs on the caller, the threshold itself
+  // on the pool; both must answer exactly what the point API answers.
+  const uint64_t threshold = launch_threshold();
+  for (backend_kind backend : kAllBackends) {
+    for (uint64_t n : {threshold - 1, threshold}) {
+      SCOPED_TRACE(std::string(backend_name(backend)) + " n=" +
+                   std::to_string(n));
+      auto keys = util::hashed_xorwow_items(n, 393 + n);
+      const auto cfg = config(backend, 4, std::max<uint64_t>(1 << 16, 4 * n));
+      store::filter_store bulk(cfg);
+      store::filter_store point(cfg);
+
+      for (uint64_t k : keys) ASSERT_TRUE(point.insert(k));
+      EXPECT_EQ(bulk.insert_bulk(keys), n);
+      EXPECT_EQ(bulk.count_contained(keys), n);
+      EXPECT_EQ(point.count_contained(keys), n);
+
+      std::vector<store::op> ops;
+      for (uint64_t k : keys) ops.push_back(store::make_insert(k, 2));
+      uint64_t point_inserted = 0;
+      for (uint64_t k : keys) point_inserted += point.insert(k, 2) ? 1 : 0;
+      EXPECT_EQ(bulk.apply(ops).inserted, point_inserted);
+
+      if (bulk.shard_at(0).filter().supports_deletes()) {
+        ops.clear();
+        for (uint64_t k : keys) ops.push_back(store::make_erase(k));
+        uint64_t point_erased = 0;
+        for (uint64_t k : keys) point_erased += point.erase(k) ? 1 : 0;
+        EXPECT_EQ(bulk.apply(ops).erased, point_erased);
+      }
+      for (uint64_t k : keys) ASSERT_EQ(bulk.count(k), point.count(k)) << k;
     }
   }
 }
