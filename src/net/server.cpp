@@ -76,9 +76,6 @@ struct server::connection {
   size_t out_pos = 0;
   bool dead = false;
   role kind = role::client;
-  uint64_t last_acked = 0;  ///< subscriber: highest sequence acknowledged
-                            ///< (single-reactor form; multi-reactor acks
-                            ///< live lane-wise in the sub_entry)
   /// Subscriber queue cap: the configured cap, grown to cover the
   /// bootstrap snapshot burst (which is queued in one go).
   size_t queue_cap = 0;
@@ -86,7 +83,7 @@ struct server::connection {
   uint32_t inflight = 0;  ///< responses parked on in-flight batch parts or
                           ///< control frames — a dead connection is not
                           ///< erased (pointer-invalidating) until 0
-  std::shared_ptr<sub_entry> sub;  ///< multi-reactor subscriber ack state
+  std::shared_ptr<sub_entry> sub;  ///< subscriber: lane-wise ack state
 
   connection(socket_fd f, size_t max_frame)
       : fd(std::move(f)), dec(max_frame) {}
@@ -116,13 +113,20 @@ struct server::reactor_msg {
   bool from_feed = false;
   std::vector<uint64_t> keys;    ///< work: this reactor's slice of the batch
   std::vector<uint64_t> counts;  ///< work: insert_counted companions
-  std::vector<uint64_t> vals;    ///< done: per-key answers (query/count)
-  std::vector<uint32_t> idx;     ///< positions in the original batch
+  /// done: the part's answers — a bitmap over its keys (query) or one
+  /// count per key (count)
+  std::vector<uint64_t> vals;
+  /// Positions in the original batch; empty when the part is the whole
+  /// batch (work: `fr` then carries the received frame for replication)
+  std::vector<uint32_t> idx;
   uint64_t a = 0, b = 0;         ///< done: (ok, failed); ctrl: t_start
   uint64_t part_seq = 0;         ///< done: stream sequence this part landed on
+  std::string error;             ///< done: why applying the part threw
   connection* conn = nullptr;    ///< ctrl: requesting connection (owner
-                                 ///< holds it via inflight)
-  frame fr;                      ///< ctrl: the control frame (owned payload)
+                                 ///< holds it via inflight), null when
+                                 ///< synthesized
+  frame fr;                      ///< ctrl: the control frame; work: the
+                                 ///< whole batch's frame (owned payload)
   std::shared_ptr<sub_entry> sub;                 ///< fwd: target subscriber
   std::shared_ptr<std::vector<uint8_t>> bytes;    ///< fwd: encoded frame
 };
@@ -138,12 +142,12 @@ struct server::pending_resp {
   uint64_t a = 0, b = 0;            ///< mutating: (ok, failed) totals
   std::vector<uint64_t> words;      ///< query bitmap / count values
   std::vector<uint64_t> part_seqs;  ///< one stream sequence per lane touched
+  std::string error;                ///< first failed part's message
   uint64_t t_start = 0;
 };
 
 /// A mutating response parked behind the ack gate.  `seqs` holds one
-/// stream sequence per lane the batch landed on (exactly one on a
-/// single-reactor server — identical to the original scalar form).
+/// stream sequence per lane the batch landed on.
 struct server::pending_ack {
   connection* conn;
   std::vector<uint64_t> seqs;
@@ -168,7 +172,7 @@ struct server::reactor {
   std::unordered_map<uint64_t, pending_resp> pending;
   uint64_t next_ticket = 1;
   uint32_t mutations_since_maintain = 0;
-  uint64_t lane_local = 0;  ///< lane-local stream position (nr_ > 1)
+  uint64_t lane_local = 0;  ///< lane-local stream position
   replay_ring ring;         ///< this lane's replayable frame window
   obs::trace_ring trace;
   obs::latency_histogram op_hist[kNumOpcodes];
@@ -206,9 +210,8 @@ server::server(server_config cfg, store::filter_store st)
   const uint32_t want = cfg_.reactors == 0 ? 1 : cfg_.reactors;
   nr_ = std::max<uint32_t>(
       1, std::min({want, kMaxLanes, store_.num_shards()}));
-  if (nr_ > 1 && !cfg_.feed_addr.empty() && !cfg_.read_only)
-    throw std::runtime_error(
-        "gf: a multi-reactor server can only follow a feed read-only");
+  if (!cfg_.feed_addr.empty() && !cfg_.read_only)
+    throw std::runtime_error("gf: a server can only follow a feed read-only");
 
   // Contiguous shard ownership: reactor k owns [k*S/N, (k+1)*S/N).
   const uint32_t shards = store_.num_shards();
@@ -244,9 +247,7 @@ server::server(server_config cfg, store::filter_store st)
     // mutations continue the on-disk lineage instead of restarting at 0
     // (which would hand reconnecting replicas empty deltas against data
     // they have never seen).
-    if (nr_ > 1) cfg_.durability->ensure_lanes(nr_);
-    // relaxed: single-writer (event loop) telemetry; readers need no ordering.
-    repl_seq_.store(cfg_.durability->last_seq(), std::memory_order_relaxed);
+    cfg_.durability->ensure_lanes(nr_);
     // relaxed: still pre-thread-start; reactor loops have not launched.
     for (uint64_t stamped : cfg_.durability->last_seqs()) {
       const uint32_t l = lane_of(stamped);
@@ -307,6 +308,10 @@ void server::register_metrics() {
   registry_.add_counter("gf_pool_launches_total", "mode=\"contended\"", [] {
     return gpu::thread_pool::instance().launches().contended;
   });
+  // Stop-the-world barriers (control ops, cadence maintains, checkpoints).
+  registry_.add_counter("gf_stw_pauses_total", "",
+                        [this, relaxed] { return relaxed(stw_pauses_); });
+  registry_.add_histogram("gf_stw_pause_ns", "", &stw_pause_ns_);
   registry_.add_counter("gf_trace_events_total", "", [this] {
     uint64_t n = 0;
     for (const auto& r : reactors_) n += r->trace.recorded();
@@ -517,12 +522,11 @@ void server::register_metrics() {
 
   // Latency histograms.  Per-opcode wire latency plus the four-stage
   // breakdown — per reactor, labelled lane="k" when more than one lane
-  // exists (the single-reactor exposition is byte-identical to the
-  // pre-lane schema) — then the store's bulk tier (pointers into the
-  // store's metrics bundle — register_metrics() reruns when the store is
-  // replaced).
+  // exists — then the store's bulk tier (pointers into the store's metrics
+  // bundle — register_metrics() reruns when the store is replaced).
   for (uint32_t k = 0; k < nr_; ++k) {
     reactor* r = reactors_[k].get();
+    // exposition: one reactor keeps the pre-lane schema (no lane labels).
     const std::string lane_lbl =
         nr_ > 1 ? ",lane=\"" + std::to_string(k) + "\"" : "";
     for (uint8_t i = 0; i < kNumOpcodes; ++i)
@@ -542,8 +546,9 @@ void server::register_metrics() {
     registry_.add_histogram("gf_wire_stage_ns", "stage=\"flush\"" + lane_lbl,
                             &r->stage_flush_ns);
   }
-  // Per-reactor health gauges (multi-reactor only; rendered under the
-  // stop-the-world barrier, so the plain fields read consistently).
+  // Per-reactor health gauges (rendered under the stop-the-world barrier,
+  // so the plain fields read consistently).
+  // exposition: one reactor keeps the pre-lane schema (no gf_reactor_*).
   if (nr_ > 1) {
     for (uint32_t k = 0; k < nr_; ++k) {
       reactor* r = reactors_[k].get();
@@ -627,10 +632,9 @@ uint32_t server::active_lanes() const {
 
 uint64_t server::repl_position() const {
   const uint32_t lanes = active_lanes();
-  // relaxed: single-writer-per-lane telemetry; readers need no ordering.
-  if (lanes <= 1) return repl_seq_.load(std::memory_order_relaxed);
   uint64_t sum = 0;
   for (uint32_t l = 0; l < lanes; ++l)
+    // relaxed: single-writer-per-lane telemetry; readers need no ordering.
     sum += lane_local(lane_seqs_[l].load(std::memory_order_relaxed));
   return sum;
 }
@@ -661,9 +665,9 @@ void server::attach_feed(socket_fd fd, frame_decoder dec,
 
 void server::adopt_feed(socket_fd fd, frame_decoder dec,
                         std::vector<uint64_t> next_seqs) {
-  if (nr_ > 1 && !cfg_.read_only)
-    throw std::runtime_error(
-        "gf: a multi-reactor server can only follow a feed read-only");
+  // A writable server would stamp local lanes that collide with the feed's.
+  if (!cfg_.read_only)
+    throw std::runtime_error("gf: a server can only follow a feed read-only");
   set_nonblocking(fd.get());
   set_nodelay(fd.get());
   set_io_timeouts(fd.get(), 0);  // handshake deadlines die with the handshake
@@ -676,9 +680,6 @@ void server::adopt_feed(socket_fd fd, frame_decoder dec,
   reconnect_attempt_ = 0;
   feed_last_rx_ns_ = obs::now_ns();
   feed_expected_by_lane_.clear();
-  const bool single =
-      next_seqs.size() == 1 && lane_of(next_seqs[0]) == 0;
-  uint64_t sum = 0;
   for (uint64_t next : next_seqs) {
     const uint32_t l = lane_of(next);
     if (l >= kMaxLanes) continue;
@@ -691,11 +692,8 @@ void server::adopt_feed(socket_fd fd, frame_decoder dec,
     lane_seqs_[l].store(last, std::memory_order_relaxed);
     if (l + 1 > lane_count_.load(std::memory_order_relaxed))
       lane_count_.store(l + 1, std::memory_order_relaxed);
-    sum += lane_local(last);
   }
   // relaxed: single-writer (event loop) telemetry; readers need no ordering.
-  repl_seq_.store(single ? (next_seqs[0] == 0 ? 0 : next_seqs[0] - 1) : sum,
-                  std::memory_order_relaxed);
   feed_attached_.store(1, std::memory_order_relaxed);
   reactor& r0 = *reactors_[0];
   r0.conns.push_back(std::move(conn));
@@ -739,8 +737,8 @@ void server::sweep_dead(reactor& r) {
       case connection::role::subscriber:
         // relaxed: single-writer (event loop) telemetry; readers need no ordering.
         subscribers_.fetch_sub(1, std::memory_order_relaxed);
-        if (r.conns[i]->sub != nullptr) {
-          r.conns[i]->sub->alive.store(false, std::memory_order_release);
+        r.conns[i]->sub->alive.store(false, std::memory_order_release);
+        {
           std::lock_guard<std::mutex> lk(subs_mu_);
           std::erase(subs_, r.conns[i]->sub);
         }
@@ -758,6 +756,10 @@ void server::sweep_dead(reactor& r) {
       case connection::role::client:
         break;
     }
+    // A condemned client may hold answers to frames it sent before the bad
+    // bytes whose parts folded back after condemn(): best-effort flush.
+    if (r.conns[i]->kind == connection::role::client)
+      flush_writes(r, *r.conns[i]);
     // A gated response whose client died is moot — drop it before the
     // connection object (and the parked pointer into it) goes away.
     std::erase_if(r.pending_acks, [&](const pending_ack& p) {
@@ -767,11 +769,12 @@ void server::sweep_dead(reactor& r) {
     closed_.fetch_add(1, std::memory_order_relaxed);
     r.conns.erase(r.conns.begin() + static_cast<std::ptrdiff_t>(i));
   }
-  recompute_acked(r);
+  if (!any_dead) return;
+  recompute_acked();
   // A lost subscriber may leave the gate short of its quorum: degrade
   // promptly (clients should not sit out the full deadline for a replica
   // that is already gone).
-  if (any_dead && !r.pending_acks.empty()) service_acks(r, obs::now_ns());
+  if (!r.pending_acks.empty()) service_acks(r, obs::now_ns());
 }
 
 // -- Event loops --------------------------------------------------------------
@@ -781,30 +784,26 @@ void server::run() {
     invites_sent_ = true;
     send_invites();
   }
-  if (nr_ > 1) {
-    {
-      std::lock_guard<std::mutex> lk(stw_mu_);
-      stw_parked_ = 0;
-      stw_exited_ = 0;
-    }
-    // relaxed: reset before the reactor threads are spawned below.
-    stw_want_.store(false, std::memory_order_relaxed);
-    threads_live_ = true;
-    for (uint32_t k = 1; k < nr_; ++k)
-      threads_.emplace_back([this, k] { reactor_loop(*reactors_[k]); });
+  {
+    std::lock_guard<std::mutex> lk(stw_mu_);
+    stw_parked_ = 0;
+    stw_exited_ = 0;
   }
+  // relaxed: reset before the reactor threads are spawned below.
+  stw_want_.store(false, std::memory_order_relaxed);
+  threads_live_ = true;
+  for (uint32_t k = 1; k < nr_; ++k)
+    threads_.emplace_back([this, k] { reactor_loop(*reactors_[k]); });
   reactor_loop(*reactors_[0]);
-  if (nr_ > 1) {
-    // Reactor 0 is out (stop, or a poll error): everyone else goes too.
-    stop_requested_.store(true, std::memory_order_release);
-    for (uint32_t k = 1; k < nr_; ++k) wake(k);
-    for (std::thread& t : threads_) t.join();
-    threads_.clear();
-    threads_live_ = false;
-    // Fold every in-flight part back so no response is silently lost to
-    // the shutdown — finish_resp queues them below for the final flush.
-    drain_all_inboxes_quiesced();
-  }
+  // Reactor 0 is out (stop, or a poll error): everyone else goes too.
+  stop_requested_.store(true, std::memory_order_release);
+  for (uint32_t k = 1; k < nr_; ++k) wake(k);
+  for (std::thread& t : threads_) t.join();
+  threads_.clear();
+  threads_live_ = false;
+  // Fold every in-flight part back so no response is silently lost to the
+  // shutdown — finish_resp queues them below for the final flush.
+  drain_all_inboxes_quiesced();
   // Shutdown: every still-gated response is released as ok_async (its
   // mutation *was* applied) and best-effort flushed — a client must never
   // lose an answer to a rug-pulled gate.
@@ -823,7 +822,7 @@ void server::run() {
     }
     r.conns.clear();
   }
-  if (nr_ > 1) {
+  {
     std::lock_guard<std::mutex> lk(subs_mu_);
     for (auto& s : subs_) s->alive.store(false, std::memory_order_release);
     subs_.clear();
@@ -835,7 +834,7 @@ void server::run() {
 void server::reactor_loop(reactor& r) {
   std::vector<pollfd> pfds;
   for (;;) {
-    if (nr_ > 1 && r.id != 0) park_for_stw(r);
+    if (r.id != 0) park_for_stw(r);
     // Sweep first so pre-run condemnations (a poisoned feed handed to
     // attach_feed) and last round's casualties never reach poll().
     sweep_dead(r);
@@ -844,7 +843,7 @@ void server::reactor_loop(reactor& r) {
     // adopted a fresh one whose drained frames condemned it right back.
     service_timers(r, obs::now_ns());
     sweep_dead(r);
-    if (nr_ > 1 && process_inboxes(r)) {
+    if (process_inboxes(r)) {
       // Handed-off work queued responses on this reactor's connections:
       // push them toward the sockets now, not at the next POLLOUT round.
       for (auto& c : r.conns)
@@ -883,10 +882,9 @@ void server::reactor_loop(reactor& r) {
     if (rc == 0) continue;  // timer expiry: loop back to service_timers
 
     if (pfds[0].revents & POLLIN) {
-      if (nr_ == 1) break;  // request_stop()
-      // Multi-reactor wakeups are ambiguous: a mailbox post, a
-      // stop-the-world request, or request_stop().  Drain the pipe and
-      // let the loop top sort it out.
+      // Wakeups are ambiguous: a mailbox post, a stop-the-world request,
+      // or request_stop().  Drain the pipe and let the loop top sort it
+      // out.
       uint8_t buf[64];
       while (::read(r.wake_rd.get(), buf, sizeof(buf)) > 0) {
       }
@@ -906,8 +904,8 @@ void server::reactor_loop(reactor& r) {
       if (!c.dead && (re & (POLLIN | POLLHUP))) read_ready(r, c);
     }
   }
-  if (nr_ > 1 && r.id != 0) {
-    // Out of the loop for good: tell a blocked stw() not to wait for us.
+  if (r.id != 0) {
+    // Out of the loop for good: tell a blocked barrier not to wait for us.
     std::lock_guard<std::mutex> lk(stw_mu_);
     ++stw_exited_;
     stw_cv_.notify_all();
@@ -929,11 +927,17 @@ void server::park_for_stw(reactor& r) {
   stw_cv_.notify_all();
 }
 
-void server::stw(const std::function<void()>& fn) {
-  if (nr_ == 1 || !threads_live_) {
+void server::run_quiesced(const std::function<void()>& fn) {
+  if (in_stw_ || !threads_live_) {
+    // Already inside a barrier (a control op that triggers another quiesced
+    // section), or the reactor threads are not running (pre-run attach_feed
+    // drain, post-join shutdown): the world is as stopped as it gets, but
+    // the ordering contract still demands drained mailboxes.
+    drain_all_inboxes_quiesced();
     fn();
     return;
   }
+  const uint64_t t0 = obs::now_ns();
   std::unique_lock<std::mutex> lk(stw_mu_);
   stw_want_.store(true, std::memory_order_release);
   for (uint32_t k = 1; k < nr_; ++k) wake(k);
@@ -944,29 +948,23 @@ void server::stw(const std::function<void()>& fn) {
   // work already handed off logically precedes this section (a MAINTAIN
   // must not reorder ahead of the inserts that triggered it).
   in_stw_ = true;
-  drain_all_inboxes_quiesced();
-  fn();
-  in_stw_ = false;
-  stw_want_.store(false, std::memory_order_release);
-  stw_cv_.notify_all();
-  stw_cv_.wait(lk, [this] { return stw_parked_ == 0; });
-}
-
-void server::run_quiesced(const std::function<void()>& fn) {
-  if (nr_ == 1) {
-    fn();
-    return;
-  }
-  if (in_stw_ || !threads_live_) {
-    // Already inside a barrier (a control op that triggers another quiesced
-    // section), or the reactor threads are not running (pre-run attach_feed
-    // drain, post-join shutdown): the world is as stopped as it gets, but
-    // the ordering contract still demands drained mailboxes.
+  auto release = [&] {
+    in_stw_ = false;
+    stw_want_.store(false, std::memory_order_release);
+    stw_cv_.notify_all();
+    stw_cv_.wait(lk, [this] { return stw_parked_ == 0; });
+    // relaxed: single-writer (reactor 0) telemetry; readers need no ordering.
+    stw_pauses_.fetch_add(1, std::memory_order_relaxed);
+    stw_pause_ns_.record(obs::now_ns() - t0);
+  };
+  try {
     drain_all_inboxes_quiesced();
     fn();
-    return;
+  } catch (...) {
+    release();  // a throw must not leave the other reactors parked
+    throw;
   }
-  stw(fn);
+  release();
 }
 
 void server::drain_all_inboxes_quiesced() {
@@ -998,13 +996,6 @@ void server::accept_ready(reactor& r) {
     socket_fd s(fd);
     set_nonblocking(fd);
     set_nodelay(fd);
-    if (nr_ == 1) {
-      r.conns.push_back(
-          std::make_unique<connection>(std::move(s), cfg_.max_frame_bytes));
-      // relaxed: single-writer (event loop) telemetry; readers need no ordering.
-      accepted_.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
     // relaxed: single-writer (event loop) telemetry; readers need no ordering.
     accepted_.fetch_add(1, std::memory_order_relaxed);
     const uint32_t target = rr_next_++ % nr_;
@@ -1062,15 +1053,8 @@ void server::dispatch_msg(reactor& r, reactor_msg& m) {
       break;
     }
     case reactor_msg::kind::work: {
-      reactor_msg d;
-      d.k = reactor_msg::kind::done;
-      d.origin = r.id;
-      d.ticket = m.ticket;
-      d.op = m.op;
-      d.from_feed = m.from_feed;
-      d.idx = std::move(m.idx);
-      apply_work(r, m, d);
-      post(r, m.origin, std::move(d));
+      const bool whole = m.idx.empty();
+      post(r, m.origin, apply_work(r, m, whole ? &m.fr : nullptr));
       break;
     }
     case reactor_msg::kind::done:
@@ -1079,10 +1063,10 @@ void server::dispatch_msg(reactor& r, reactor_msg& m) {
     case reactor_msg::kind::fwd:
       if (m.sub != nullptr && m.sub->alive.load(std::memory_order_acquire) &&
           m.bytes != nullptr)
-        deliver_to_sub(r, *m.sub, *m.bytes);
+        deliver_to_sub(*m.sub, *m.bytes);
       break;
     case reactor_msg::kind::ctrl:
-      exec_ctrl(r, m);
+      exec_ctrl(r, m.conn, m.fr, m.a);
       break;
     case reactor_msg::kind::none:
       break;
@@ -1209,104 +1193,24 @@ void server::append_out(connection& c, std::vector<uint8_t> bytes) {
 
 // -- Replication --------------------------------------------------------------
 
-uint64_t server::replicate(reactor& r, const frame& f, bool from_feed) {
+uint64_t server::replicate(reactor& r, const frame& f) {
   // The stream sequence advances on *every* applied mutation, subscribers
   // or not — it is the store's mutation-log position, and a SYNC snapshot
-  // must name it so a later replica knows where its stream begins.  A
-  // feed-applied frame keeps its upstream sequence (chained replicas stay
-  // aligned with the root primary's log).
-  if (nr_ == 1) {
-    uint64_t seq;
-    if (from_feed) {
-      seq = f.sequence;
-      // relaxed: single-writer (event loop) telemetry; readers need no ordering.
-      repl_seq_.store(seq, std::memory_order_relaxed);
-      // Mirror the lane positions so lane-aware resume requests stay
-      // truthful even when this server itself runs one loop.
-      // relaxed: single-lane replica apply path; one writer, no gating reader.
-      const uint32_t l = lane_of(seq);
-      if (l < kMaxLanes) {
-        lane_seqs_[l].store(seq, std::memory_order_relaxed);
-        if (l + 1 > lane_count_.load(std::memory_order_relaxed))
-          lane_count_.store(l + 1, std::memory_order_relaxed);
-      }
-    } else {
-      // relaxed: single-writer (event loop) telemetry; readers need no ordering.
-      seq = repl_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
-      lane_seqs_[0].store(seq, std::memory_order_relaxed);
-    }
-    bool any = false;
-    for (const auto& c : r.conns)
-      if (!c->dead && c->kind == connection::role::subscriber) {
-        any = true;
-        break;
-      }
-    if (!any && r.ring.budget() == 0 && cfg_.durability == nullptr)
-      return seq;
-    // Re-encode straight from the decoded frame's fields with the stream
-    // sequence stamped in — the payload (multi-MiB for big batches) is
-    // written once into the wire bytes, never copied into a temporary.
-    std::vector<uint8_t> bytes;
-    encode_frame(f.op, wire_status::ok, f.shard_hint, f.key_count, seq,
-                 f.payload, bytes);
-    if (cfg_.durability != nullptr) {
-      // The WAL gets the exact stamped bytes the subscriber feed carries,
-      // *after* the store applied the batch but *before* the client's
-      // response can flush (flush_writes runs when this frame's handler
-      // returns): the mutation is on disk — fsync policy permitting — by
-      // the time anyone is told it happened.
-      cfg_.durability->append(seq, bytes);
-      if (cfg_.durability->checkpoint_due())
-        cfg_.durability->checkpoint(store_);
-    }
-    for (auto& c : r.conns) {
-      if (c->dead || c->kind != connection::role::subscriber) continue;
-      append_out(*c, bytes);
-      // relaxed: single-writer (event loop) telemetry; readers need no ordering.
-      frames_forwarded_.fetch_add(1, std::memory_order_relaxed);
-      // A subscriber that cannot drain its stream is cut loose: async
-      // replication must never let one slow replica grow this process
-      // without bound.  The replica sees the EOF, counts a lost feed, and
-      // — with a supervisor — comes back with a resume request that the
-      // very bytes recorded below will answer.
-      if (c->out.size() - c->out_pos > c->queue_cap) {
-        // relaxed: single-writer (event loop) telemetry; readers need no ordering.
-        subscriber_drops_.fetch_add(1, std::memory_order_relaxed);
-        c->dead = true;
-      }
-    }
-    // The ring gets the exact bytes a live subscriber saw, so a delta
-    // replay is byte-identical to having never disconnected.
-    r.ring.push(seq, std::move(bytes));
-    return seq;
-  }
-
-  // Multi-reactor: this reactor's lane advances (never from a feed — a
-  // multi-reactor replica chains through chain_forward instead).
+  // must name it so a later replica knows where its stream begins.
   const uint64_t seq = lane_seq(r.id, ++r.lane_local);
   // release: pairs with acquire loads in gating reactors reading this
   // lane's position.
   lane_seqs_[r.id].store(seq, std::memory_order_release);
-  // relaxed: single-writer (event loop) telemetry; readers need no ordering.
-  if (subscribers_.load(std::memory_order_relaxed) == 0 &&
-      r.ring.budget() == 0 && cfg_.durability == nullptr)
-    return seq;
-  auto bytes = std::make_shared<std::vector<uint8_t>>();
-  encode_frame(f.op, wire_status::ok, f.shard_hint, f.key_count, seq,
-               f.payload, *bytes);
-  if (cfg_.durability != nullptr)
-    // Reactor r is lane r's only appender; checkpoints run separately
-    // under the stop-the-world barrier (service_timers on reactor 0).
-    cfg_.durability->append(seq, *bytes);
-  forward_to_subs(r, seq, bytes);
-  r.ring.push(seq, bytes.use_count() == 1 ? std::move(*bytes) : *bytes);
+  publish(r, f, seq, &r.ring);
+  // The store already holds this part: a checkpoint now covers it.
+  checkpoint_if_due(r);
   return seq;
 }
 
 void server::chain_forward(reactor& r, const frame& f) {
-  // A multi-reactor replica propagates each feed frame — upstream lane
-  // stamp intact — at arrival time on reactor 0, so chained subscribers
-  // and the WAL see the primary's own interleaving order.
+  // A replica propagates each feed frame — upstream lane stamp intact — at
+  // arrival time on reactor 0, so chained subscribers and the WAL see the
+  // primary's own interleaving order.
   const uint64_t seq = f.sequence;
   const uint32_t l = lane_of(seq);
   if (l < kMaxLanes) {
@@ -1316,24 +1220,36 @@ void server::chain_forward(reactor& r, const frame& f) {
     if (l + 1 > lane_count_.load(std::memory_order_relaxed))
       lane_count_.store(l + 1, std::memory_order_relaxed);
   }
-  replay_ring* ring = l < nr_ ? &reactors_[l]->ring : nullptr;
+  publish(r, f, seq, l < nr_ ? &reactors_[l]->ring : nullptr);
+}
+
+void server::publish(reactor& r, const frame& f, uint64_t seq,
+                     replay_ring* ring) {
   // relaxed: single-writer (event loop) telemetry; readers need no ordering.
   if (subscribers_.load(std::memory_order_relaxed) == 0 &&
       (ring == nullptr || ring->budget() == 0) && cfg_.durability == nullptr)
     return;
+  // Re-encode straight from the decoded frame's fields with the stream
+  // sequence stamped in — the payload (multi-MiB for big batches) is
+  // written once into the wire bytes, never copied into a temporary.
   auto bytes = std::make_shared<std::vector<uint8_t>>();
   encode_frame(f.op, wire_status::ok, f.shard_hint, f.key_count, seq,
                f.payload, *bytes);
-  if (cfg_.durability != nullptr) cfg_.durability->append(seq, *bytes);
-  forward_to_subs(r, seq, bytes);
+  if (cfg_.durability != nullptr)
+    // The WAL gets the exact stamped bytes the subscriber feed carries
+    // before the client's response can flush: the mutation is on disk —
+    // fsync policy permitting — by the time anyone is told it happened.
+    // Reactor r is its lane's only appender.
+    cfg_.durability->append(seq, *bytes);
+  forward_to_subs(r, bytes);
+  // The ring gets the exact bytes a live subscriber saw, so a delta replay
+  // is byte-identical to having never disconnected.
   if (ring != nullptr)
     ring->push(seq, bytes.use_count() == 1 ? std::move(*bytes) : *bytes);
 }
 
 void server::forward_to_subs(
-    reactor& r, uint64_t seq,
-    const std::shared_ptr<std::vector<uint8_t>>& bytes) {
-  (void)seq;
+    reactor& r, const std::shared_ptr<std::vector<uint8_t>>& bytes) {
   std::vector<std::shared_ptr<sub_entry>> subs;
   {
     std::lock_guard<std::mutex> lk(subs_mu_);
@@ -1344,7 +1260,7 @@ void server::forward_to_subs(
     // relaxed: single-writer (event loop) telemetry; readers need no ordering.
     frames_forwarded_.fetch_add(1, std::memory_order_relaxed);
     if (s->reactor_id == r.id) {
-      deliver_to_sub(r, *s, *bytes);
+      deliver_to_sub(*s, *bytes);
     } else {
       reactor_msg m;
       m.k = reactor_msg::kind::fwd;
@@ -1356,15 +1272,14 @@ void server::forward_to_subs(
   }
 }
 
-void server::deliver_to_sub(reactor& r, sub_entry& s,
-                            const std::vector<uint8_t>& bytes) {
-  (void)r;
+void server::deliver_to_sub(sub_entry& s, const std::vector<uint8_t>& bytes) {
   connection* c = s.conn;
   if (c == nullptr || c->dead) return;
   c->out.insert(c->out.end(), bytes.begin(), bytes.end());
   // A subscriber that cannot drain its stream is cut loose: async
   // replication must never let one slow replica grow this process without
-  // bound.
+  // bound.  The replica sees the EOF, counts a lost feed, and — with a
+  // supervisor — comes back with a resume request the replay ring answers.
   if (c->out.size() - c->out_pos > c->queue_cap) {
     // relaxed: single-writer (event loop) telemetry; readers need no ordering.
     subscriber_drops_.fetch_add(1, std::memory_order_relaxed);
@@ -1373,30 +1288,28 @@ void server::deliver_to_sub(reactor& r, sub_entry& s,
   }
 }
 
-void server::register_subscriber(reactor& r, connection& c,
+void server::register_subscriber(connection& c,
                                  std::span<const uint64_t> acked_lanes,
                                  size_t queued_bytes) {
   c.kind = connection::role::subscriber;
   c.queue_cap = std::max(cfg_.max_subscriber_queue_bytes, 2 * queued_bytes);
-  if (nr_ == 1) {
-    c.last_acked = acked_lanes.size() == 1 ? acked_lanes[0] : 0;
-  } else {
-    auto entry = std::make_shared<sub_entry>();
-    entry->conn = &c;
-    entry->reactor_id = c.owner;
-    for (uint64_t v : acked_lanes) {
-      const uint32_t l = lane_of(v);
-      if (l < kMaxLanes)
-        // relaxed: entry not yet published to subs_; no concurrent reader.
-        entry->acked[l].store(v, std::memory_order_relaxed);
-    }
-    c.sub = entry;
+  auto entry = std::make_shared<sub_entry>();
+  entry->conn = &c;
+  entry->reactor_id = c.owner;
+  for (uint64_t v : acked_lanes) {
+    const uint32_t l = lane_of(v);
+    if (l < kMaxLanes)
+      // relaxed: entry not yet published to subs_; no concurrent reader.
+      entry->acked[l].store(v, std::memory_order_relaxed);
+  }
+  c.sub = entry;
+  {
     std::lock_guard<std::mutex> lk(subs_mu_);
     subs_.push_back(std::move(entry));
   }
   // relaxed: single-writer (event loop) telemetry; readers need no ordering.
   subscribers_.fetch_add(1, std::memory_order_relaxed);
-  recompute_acked(r);
+  recompute_acked();
 }
 
 void server::subscriber_ack(reactor& r, connection& c, const frame& f) {
@@ -1411,45 +1324,24 @@ void server::subscriber_ack(reactor& r, connection& c, const frame& f) {
   const uint64_t now = obs::now_ns();
   // relaxed: single-writer (event loop) telemetry; readers need no ordering.
   last_ack_ns_.store(now, std::memory_order_relaxed);
-  if (nr_ == 1) {
-    if (f.sequence > c.last_acked) {
-      c.last_acked = f.sequence;
-      recompute_acked(r);
-      // Fresh progress may satisfy gated responses — release them now,
-      // not at the next poll wakeup.
-      if (!r.pending_acks.empty()) service_acks(r, now);
-    }
-    return;
-  }
   // Lane-wise ack: the echoed sequence names its lane in the top byte.
   const uint32_t l = lane_of(f.sequence);
-  if (c.sub == nullptr || l >= kMaxLanes) return;
+  if (l >= kMaxLanes) return;
   std::atomic<uint64_t>& slot = c.sub->acked[l];
   // relaxed: owning reactor is the only writer of this ack slot.
   if (f.sequence > slot.load(std::memory_order_relaxed)) {
     // release: pairs with acquire loads in gating reactors' service_acks.
     slot.store(f.sequence, std::memory_order_release);
-    recompute_acked(r);
+    recompute_acked();
+    // Fresh progress may satisfy gated responses — release them now, not
+    // at the next poll wakeup.
     if (!r.pending_acks.empty()) service_acks(r, now);
   }
 }
 
-void server::recompute_acked(reactor& r) {
-  if (nr_ == 1) {
-    uint64_t min_acked = 0;
-    bool first = true;
-    for (const auto& c : r.conns) {
-      if (c->dead || c->kind != connection::role::subscriber) continue;
-      if (first || c->last_acked < min_acked) min_acked = c->last_acked;
-      first = false;
-    }
-    // relaxed: single-writer (event loop) telemetry; readers need no ordering.
-    subscriber_acked_.store(first ? 0 : min_acked,
-                            std::memory_order_relaxed);
-    return;
-  }
-  // Multi-lane watermark: the slowest subscriber's summed lane-local
-  // positions (comparable with repl_position()).
+void server::recompute_acked() {
+  // Watermark: the slowest subscriber's summed lane-local positions
+  // (comparable with repl_position()).
   const uint32_t lanes = active_lanes();
   uint64_t min_sum = 0;
   bool first = true;
@@ -1464,17 +1356,6 @@ void server::recompute_acked(reactor& r) {
   }
   // relaxed: single-writer (event loop) telemetry; readers need no ordering.
   subscriber_acked_.store(first ? 0 : min_sum, std::memory_order_relaxed);
-}
-
-uint64_t server::live_subscribers(const reactor& r) const {
-  if (nr_ == 1) {
-    uint64_t live = 0;
-    for (const auto& s : r.conns)
-      if (!s->dead && s->kind == connection::role::subscriber) ++live;
-    return live;
-  }
-  // relaxed: gate sizing only; a stale count degrades, never hangs.
-  return subscribers_.load(std::memory_order_relaxed);
 }
 
 // -- Ack-gated writes ---------------------------------------------------------
@@ -1497,8 +1378,8 @@ void server::queue_mutation_response(reactor& r, connection& c,
   }
   // relaxed: single-writer (event loop) telemetry; readers need no ordering.
   ack_waits_.fetch_add(1, std::memory_order_relaxed);
-  const uint64_t live = live_subscribers(r);
-  if (live < cfg_.ack_replicas) {
+  // relaxed: gate sizing only; a stale count degrades, never hangs.
+  if (subscribers_.load(std::memory_order_relaxed) < cfg_.ack_replicas) {
     // Not enough replicas even attached: degrade immediately rather than
     // making the client sit out a deadline that cannot be met.
     // relaxed: single-writer (event loop) telemetry; readers need no ordering.
@@ -1515,34 +1396,28 @@ void server::queue_mutation_response(reactor& r, connection& c,
 
 void server::service_acks(reactor& r, uint64_t now_ns, bool flush_deadline) {
   if (r.pending_acks.empty()) return;
-  const uint64_t live = live_subscribers(r);
+  // relaxed: gate sizing only; a stale count degrades, never hangs.
+  const uint64_t live = subscribers_.load(std::memory_order_relaxed);
   std::vector<std::shared_ptr<sub_entry>> subs;
-  if (nr_ > 1) {
+  {
     std::lock_guard<std::mutex> lk(subs_mu_);
     subs = subs_;
   }
   std::erase_if(r.pending_acks, [&](const pending_ack& p) {
     uint64_t acked = 0;
-    if (nr_ == 1) {
-      for (const auto& s : r.conns)
-        if (!s->dead && s->kind == connection::role::subscriber &&
-            s->last_acked >= p.seqs[0])
-          ++acked;
-    } else {
-      for (const auto& s : subs) {
-        if (!s->alive.load(std::memory_order_acquire)) continue;
-        bool all = true;
-        for (uint64_t q : p.seqs) {
-          const uint32_t l = lane_of(q);
-          // acquire: pairs with the owning reactor's release ack store.
-          if (l >= kMaxLanes ||
-              s->acked[l].load(std::memory_order_acquire) < q) {
-            all = false;
-            break;
-          }
+    for (const auto& s : subs) {
+      if (!s->alive.load(std::memory_order_acquire)) continue;
+      bool all = true;
+      for (uint64_t q : p.seqs) {
+        const uint32_t l = lane_of(q);
+        // acquire: pairs with the owning reactor's release ack store.
+        if (l >= kMaxLanes ||
+            s->acked[l].load(std::memory_order_acquire) < q) {
+          all = false;
+          break;
         }
-        if (all) ++acked;
       }
+      if (all) ++acked;
     }
     if (acked >= cfg_.ack_replicas) {
       append_out(*p.conn, encode_pair_response(p.op, p.client_seq,
@@ -1602,16 +1477,12 @@ void server::try_resync_feed() {
     // seen; a replica of a single-lane primary presents the one scalar
     // (the request bytes are then identical to the pre-lane protocol).
     std::vector<uint64_t> lasts;
-    if (feed_expected_by_lane_.empty()) {
+    for (const auto& [l, next] : feed_expected_by_lane_) {
+      (void)next;
       // relaxed: single-writer (event loop) telemetry; readers need no ordering.
-      lasts.push_back(repl_seq_.load(std::memory_order_relaxed));
-    } else {
-      for (const auto& [l, next] : feed_expected_by_lane_) {
-        (void)next;
-        // relaxed: single-writer (event loop) telemetry; readers need no ordering.
-        lasts.push_back(lane_seqs_[l].load(std::memory_order_relaxed));
-      }
+      lasts.push_back(lane_seqs_[l].load(std::memory_order_relaxed));
     }
+    if (lasts.empty()) lasts = current_lane_seqs();
     // Blocking re-sync on the loop thread, bounded by resync_timeout_ms
     // per silent read: a replica that is catching up is allowed to pause
     // its (read-only) service — its data is stale until this finishes
@@ -1623,41 +1494,7 @@ void server::try_resync_feed() {
     if (rr.kind == resync_kind::snapshot) {
       // relaxed: single-writer (event loop) telemetry; readers need no ordering.
       resyncs_snapshot_.fetch_add(1, std::memory_order_relaxed);
-      run_quiesced([&] {
-        store_ = std::move(*rr.store);
-        register_metrics();
-        // New lineage: any subscriber synced off the pre-resync store is
-        // cut loose to bootstrap afresh, and the rings' frames describe a
-        // store that no longer exists.
-        for (auto& rx : reactors_) {
-          for (auto& sub : rx->conns)
-            if (!sub->dead && sub->kind == connection::role::subscriber) {
-              // relaxed: single-writer (event loop) telemetry; readers need no ordering.
-              subscriber_drops_.fetch_add(1, std::memory_order_relaxed);
-              sub->dead = true;
-            }
-          rx->ring.clear();
-        }
-        // relaxed: inside run_quiesced — every other reactor is parked.
-        for (uint32_t l = 0; l < kMaxLanes; ++l)
-          lane_seqs_[l].store(lane_seq(l, 0), std::memory_order_relaxed);
-        // relaxed: same quiesced section; adopt the feed's lane table.
-        for (uint64_t v : rr.lane_seqs) {
-          const uint32_t l = lane_of(v);
-          if (l < kMaxLanes)
-            lane_seqs_[l].store(v, std::memory_order_relaxed);
-        }
-        if (cfg_.durability != nullptr) {
-          // Same reasoning for the WAL: the segments log the dead lineage.
-          if (rr.lane_seqs.size() == 1 && lane_of(rr.lane_seqs[0]) == 0)
-            cfg_.durability->reset(store_, rr.repl_seq);
-          else
-            cfg_.durability->reset(store_,
-                                   std::span<const uint64_t>(rr.lane_seqs));
-        }
-        // relaxed: single-writer (event loop) telemetry; readers need no ordering.
-        repl_seq_.store(rr.repl_seq, std::memory_order_relaxed);
-      });
+      adopt_lineage(std::move(*rr.store), rr.lane_seqs);
       attach_feed(std::move(rr.feed), std::move(rr.dec),
                   std::span<const uint64_t>(rr.lane_seqs));
     } else {
@@ -1680,6 +1517,38 @@ void server::try_resync_feed() {
   }
 }
 
+void server::adopt_lineage(store::filter_store st,
+                           std::span<const uint64_t> lane_seqs) {
+  run_quiesced([&] {
+    store_ = std::move(st);
+    // The registry's histogram entries point into the replaced store's
+    // metrics bundle — rebuild them against the new store.
+    register_metrics();
+    // New lineage: any subscriber synced off the old store is cut loose to
+    // bootstrap afresh instead of silently diverging, and the rings'
+    // frames and the WAL's segments describe a store that no longer
+    // exists.
+    for (auto& rx : reactors_) {
+      for (auto& sub : rx->conns)
+        if (!sub->dead && sub->kind == connection::role::subscriber) {
+          // relaxed: single-writer (event loop) telemetry; readers need no ordering.
+          subscriber_drops_.fetch_add(1, std::memory_order_relaxed);
+          sub->dead = true;
+        }
+      rx->ring.clear();
+    }
+    // relaxed: inside run_quiesced — every other reactor is parked.
+    for (uint32_t l = 0; l < kMaxLanes; ++l)
+      lane_seqs_[l].store(lane_seq(l, 0), std::memory_order_relaxed);
+    // relaxed: same quiesced section; adopt the new lineage's lane table.
+    for (uint64_t v : lane_seqs) {
+      const uint32_t l = lane_of(v);
+      if (l < kMaxLanes) lane_seqs_[l].store(v, std::memory_order_relaxed);
+    }
+    if (cfg_.durability != nullptr) cfg_.durability->reset(store_, lane_seqs);
+  });
+}
+
 void server::service_timers(reactor& r, uint64_t now_ns) {
   if (r.id == 0) {
     if (reconnect_pending_ && now_ns >= reconnect_at_ns_) try_resync_feed();
@@ -1695,12 +1564,6 @@ void server::service_timers(reactor& r, uint64_t now_ns) {
         if (!c->dead && c->kind == connection::role::feed)
           condemn(r, *c, "feed idle past the configured timeout");
     }
-    // Multi-reactor checkpoints cannot ride replicate() (any reactor may
-    // trigger one, but a consistent store image needs every lane
-    // quiesced): reactor 0 polls the due-ness here and stops the world.
-    if (nr_ > 1 && cfg_.durability != nullptr &&
-        cfg_.durability->checkpoint_due())
-      stw([&] { cfg_.durability->checkpoint(store_); });
   }
 }
 
@@ -1714,16 +1577,13 @@ int server::poll_timeout_ms(const reactor& r, uint64_t now_ns) const {
       next = std::min<uint64_t>(
           next, feed_last_rx_ns_ +
                     uint64_t{cfg_.feed_idle_timeout_ms} * 1'000'000ull);
-    // Checkpoint due-ness is polled, not signalled: bound the sleep.
-    if (nr_ > 1 && cfg_.durability != nullptr)
-      next = std::min<uint64_t>(next, now_ns + 50'000'000ull);
   }
   for (const pending_ack& p : r.pending_acks)
     next = std::min(next, p.deadline_ns);
   // A gated response can be released by an ack that lands on *another*
   // reactor (the subscriber's owner updates the lane slot; nobody wakes
   // us).  Poll at ack-release granularity while anything is parked.
-  if (nr_ > 1 && !r.pending_acks.empty())
+  if (!r.pending_acks.empty())
     next = std::min<uint64_t>(next, now_ns + 1'000'000ull);
   if (next == UINT64_MAX) return -1;
   if (next <= now_ns) return 0;
@@ -1762,59 +1622,15 @@ void server::serve_sync(reactor& r, connection& c, const frame& f) {
 void server::serve_resume(reactor& r, connection& c, const frame& f) {
   const std::vector<uint64_t> lasts = decode_sync_resume_lanes(f);
   const uint32_t lanes = active_lanes();
-  if (lanes <= 1 && lasts.size() == 1) {
-    // Single-lane fast path: the original scalar protocol, byte-for-byte.
-    const uint64_t last = lasts[0];
-    // relaxed: single-writer (event loop) telemetry; readers need no ordering.
-    const uint64_t cur = repl_seq_.load(std::memory_order_relaxed);
-    // Delta only when the ring still holds every frame the replica missed
-    // — and never at stream position 0: a primary restarted from a
-    // snapshot is back at sequence 0 with a *different* store, and a
-    // replica whose bootstrap also happened at 0 would otherwise be
-    // granted an empty delta against data it has never seen.  At 0 the
-    // snapshot is authoritative and cheap to prove.
-    if (cur != 0 && reactors_[0]->ring.covers(last, cur)) {
-      std::vector<uint8_t> out =
-          encode_sync_delta_response(f.sequence, last, cur);
-      const size_t replayed = reactors_[0]->ring.encode_from(last, out);
-      const size_t out_bytes = out.size();
-      append_out(c, std::move(out));
-      register_subscriber(r, c, std::span<const uint64_t>(&last, 1),
-                          out_bytes);
-      // relaxed: single-writer (event loop) telemetry; readers need no ordering.
-      deltas_served_.fetch_add(1, std::memory_order_relaxed);
-      r.trace.add("repl", "delta_serve", obs::now_ns(), 0, "frames",
-                  replayed);
-      return;
-    }
-    // Ring wrapped past the resume point: with a WAL armed, the frames
-    // the ring forgot are still on disk — read the delta back from the
-    // log and the replica never pays for a snapshot move.  The re-encoded
-    // bytes are identical with what the live stream carried
-    // (persist_wal_test proves it), so this branch is indistinguishable
-    // from a bigger ring.
-    if (cur != 0 && cfg_.durability != nullptr &&
-        cfg_.durability->covers(last, cur)) {
-      std::vector<uint8_t> out =
-          encode_sync_delta_response(f.sequence, last, cur);
-      const size_t replayed = cfg_.durability->encode_from(last, out);
-      const size_t out_bytes = out.size();
-      append_out(c, std::move(out));
-      register_subscriber(r, c, std::span<const uint64_t>(&last, 1),
-                          out_bytes);
-      // relaxed: single-writer (event loop) telemetry; readers need no ordering.
-      deltas_served_.fetch_add(1, std::memory_order_relaxed);
-      wal_deltas_served_.fetch_add(1, std::memory_order_relaxed);
-      r.trace.add("repl", "wal_delta_serve", obs::now_ns(), 0, "frames",
-                  replayed);
-      return;
-    }
-    serve_snapshot(r, c, f);
-    return;
-  }
-  // Lane-aware resume: grant a delta only when the replica's lane layout
-  // matches ours exactly and *every* lane is covered by its ring or the
-  // WAL — a partial replay would interleave a hole into one lane.
+  // Grant a delta only when the replica's lane layout matches ours exactly
+  // and *every* lane is covered by its ring or the WAL — a partial replay
+  // would interleave a hole into one lane.  Never at stream position 0: a
+  // primary restarted from a snapshot is back at 0 with a *different*
+  // store, and a replica whose bootstrap also happened at 0 would
+  // otherwise be granted an empty delta against data it has never seen.
+  // A lane the ring has wrapped past is read back from the WAL when one is
+  // armed: the re-encoded bytes are identical with what the live stream
+  // carried (persist_wal_test proves it).
   bool shape_ok = lasts.size() == lanes;
   for (uint32_t l = 0; shape_ok && l < lanes; ++l)
     if (lane_of(lasts[l]) != l) shape_ok = false;
@@ -1842,6 +1658,7 @@ void server::serve_resume(reactor& r, connection& c, const frame& f) {
       std::vector<sync_delta_header> headers(lanes);
       for (uint32_t l = 0; l < lanes; ++l)
         headers[l] = {lasts[l], curs[l]};
+      // One lane answers with the scalar (pre-lane) delta header.
       std::vector<uint8_t> out =
           lanes == 1 ? encode_sync_delta_response(f.sequence,
                                                   headers[0].resume_from,
@@ -1863,7 +1680,7 @@ void server::serve_resume(reactor& r, connection& c, const frame& f) {
       }
       const size_t out_bytes = out.size();
       append_out(c, std::move(out));
-      register_subscriber(r, c, std::span<const uint64_t>(lasts), out_bytes);
+      register_subscriber(c, std::span<const uint64_t>(lasts), out_bytes);
       // relaxed: single-writer (event loop) telemetry; readers need no ordering.
       deltas_served_.fetch_add(1, std::memory_order_relaxed);
       if (any_wal) {
@@ -1884,12 +1701,10 @@ void server::serve_resume(reactor& r, connection& c, const frame& f) {
 }
 
 void server::serve_snapshot(reactor& r, connection& c, const frame& f) {
-  // Snapshot + subscribe, atomically with respect to mutations: on one
-  // reactor the event loop is the store's only writer; with several, this
-  // runs inside the stop-the-world barrier — either way every mutation at
-  // or below the positions recorded here is inside the snapshot and every
-  // later one will be forwarded down this connection.  Nothing falls in
-  // between.
+  // Snapshot + subscribe, atomically with respect to mutations: this runs
+  // inside the stop-the-world barrier, so every mutation at or below the
+  // positions recorded here is inside the snapshot and every later one
+  // will be forwarded down this connection.  Nothing falls in between.
   const uint64_t t0 = obs::now_ns();
   // A multi-lane snapshot is prefixed with its lane table so the replica
   // resumes each lane at the right position (single-lane transfers stay
@@ -1918,7 +1733,7 @@ void server::serve_snapshot(reactor& r, connection& c, const frame& f) {
                                     data.subspan(off, slice)));
     off += slice;
   }
-  register_subscriber(r, c, {}, bytes.size());
+  register_subscriber(c, {}, bytes.size());
   r.trace.add("repl", "sync_serve", t0, obs::now_ns() - t0, "bytes",
               bytes.size());
 }
@@ -1945,34 +1760,7 @@ void server::handle_invite(reactor& r, connection& c, const frame& f) {
                   cfg_.connector);
     r.trace.add("repl", "bootstrap", t0, sr.bootstrap_ns, "bytes",
                 sr.snapshot_bytes);
-    run_quiesced([&] {
-      store_ = std::move(sr.store);
-      // The registry's histogram entries point into the replaced store's
-      // metrics bundle — rebuild them against the new store.
-      register_metrics();
-      // The store was just replaced wholesale: any subscriber synced off
-      // the pre-invite state (defense in depth — serve_sync refuses on a
-      // never-fed standby) is cut loose so it bootstraps from the new
-      // lineage instead of silently diverging.
-      for (auto& rx : reactors_)
-        for (auto& sub : rx->conns)
-          if (!sub->dead && sub->kind == connection::role::subscriber) {
-            // relaxed: single-writer (event loop) telemetry; readers need no ordering.
-            subscriber_drops_.fetch_add(1, std::memory_order_relaxed);
-            sub->dead = true;
-          }
-      if (cfg_.durability != nullptr) {
-        // New lineage: the old WAL describes a store that no longer
-        // exists.
-        if (sr.lane_seqs.size() == 1 && lane_of(sr.lane_seqs[0]) == 0)
-          cfg_.durability->reset(store_, sr.repl_seq);
-        else
-          cfg_.durability->reset(store_,
-                                 std::span<const uint64_t>(sr.lane_seqs));
-        // relaxed: single-writer (event loop) telemetry; readers need no ordering.
-        repl_seq_.store(sr.repl_seq, std::memory_order_relaxed);
-      }
-    });
+    adopt_lineage(std::move(sr.store), sr.lane_seqs);
     attach_feed(std::move(sr.feed), std::move(sr.dec),
                 std::span<const uint64_t>(sr.lane_seqs));
     // No success response: the inviter fired and forgot; convergence is
@@ -2022,17 +1810,21 @@ void server::feed_frame(reactor& r, connection& c, const frame& f) {
   // relaxed: single-writer (event loop) telemetry; readers need no ordering.
   feed_last_seq_.store(f.sequence, std::memory_order_relaxed);
   feed_applied_.fetch_add(1, std::memory_order_relaxed);
-  if (nr_ == 1) {
-    handle_frame(r, c, f);  // applies, acks on this connection, chains
-    return;
-  }
-  // Multi-reactor replica: chain the frame downstream in arrival order
-  // (reactor 0 is the feed's owner, so this *is* the upstream
-  // interleaving), then partition it to the owning reactors.
-  // relaxed: single-writer (event loop) telemetry; readers need no ordering.
   frames_.fetch_add(1, std::memory_order_relaxed);
   const uint64_t t_start = obs::now_ns();
-  chain_forward(r, f);
+  // Chain the frame downstream in arrival order (reactor 0 is the feed's
+  // owner, so this *is* the upstream interleaving), then apply it.
+  std::string error;
+  try {
+    chain_forward(r, f);
+  } catch (const std::exception& e) {
+    // The WAL refused the frame.  The lane position already counts it, so
+    // it is applied all the same — a replica that skipped it would answer
+    // false negatives for keys the primary acknowledged — and the primary
+    // is answered in-band (it counts a subscriber error), as a primary
+    // answers its client for a part it applied but could not log.
+    error = *e.what() != '\0' ? e.what() : "gf: feed frame not logged";
+  }
   if (f.op == opcode::maintain) {
     // The primary replicated this maintain at a consistent cut of all
     // lanes; reproduce that cut here — drain every handed-off part, then
@@ -2045,16 +1837,23 @@ void server::feed_frame(reactor& r, connection& c, const frame& f) {
                          : store_.maintain();
       r.trace.add("store", "maintain", mt0, obs::now_ns() - mt0, "levels",
                   m.total_levels);
-      append_out(c, encode_maintain_response(f.sequence, m.shards_grown,
-                                             m.max_depth, m.total_levels));
+      append_out(c, !error.empty()
+                        ? encode_error_response(f.op, f.sequence,
+                                                wire_status::error, error)
+                        : encode_maintain_response(f.sequence, m.shards_grown,
+                                                   m.max_depth,
+                                                   m.total_levels));
     });
     const uint64_t t_done = obs::now_ns();
     r.op_hist[static_cast<size_t>(opcode::maintain)].record(t_done - t_start);
     r.trace.add("wire", "maintain", t_start, t_done - t_start, "keys",
                 f.key_count);
-    return;
+  } else {
+    route_batch(r, c, f, /*from_feed=*/true, t_start, std::move(error));
   }
-  route_batch(r, c, f, /*from_feed=*/true, t_start);
+  // Only now does the store hold (or, under the barrier's drain, will
+  // hold) the frame the WAL logged on arrival.
+  checkpoint_if_due(r);
 }
 
 // -- Frame handling -----------------------------------------------------------
@@ -2062,15 +1861,14 @@ void server::feed_frame(reactor& r, connection& c, const frame& f) {
 void server::handle_frame(reactor& r, connection& c, const frame& f) {
   // relaxed: single-writer (event loop) telemetry; readers need no ordering.
   frames_.fetch_add(1, std::memory_order_relaxed);
-  const bool from_feed = c.kind == connection::role::feed;
+  const uint64_t t_start = obs::now_ns();
   const bool mutating = f.op == opcode::insert ||
                         f.op == opcode::insert_counted ||
                         f.op == opcode::erase;
   // A replica takes mutations only from its feed; clients get an in-band
   // error and keep their connection (they meant well — they just talked
   // to the wrong end of the topology).
-  if ((mutating || f.op == opcode::maintain) && cfg_.read_only &&
-      !from_feed) {
+  if ((mutating || f.op == opcode::maintain) && cfg_.read_only) {
     // relaxed: single-writer (event loop) telemetry; readers need no ordering.
     read_only_refusals_.fetch_add(1, std::memory_order_relaxed);
     append_out(c, encode_error_response(
@@ -2078,209 +1876,11 @@ void server::handle_frame(reactor& r, connection& c, const frame& f) {
                       "read-only replica: send mutations to the primary"));
     return;
   }
-  if (nr_ > 1) {
-    handle_frame_mt(r, c, f, from_feed, mutating);
-    return;
-  }
-  // Periodic skew relief: after enough mutating frames, grow pressured
-  // shards (overflow cascades) without waiting for a client to ask.
-  // Between frames the loop is the store's only writer — exactly the
-  // host-phased window maintain() requires.  Feed traffic never triggers
-  // this: the primary's forwarded MAINTAIN frames (including the
-  // synthesized ones below) drive replica growth at the same stream
-  // positions, keeping cascade shapes in lockstep.
-  if (!from_feed && cfg_.maintain_every != 0 && mutating &&
-      ++r.mutations_since_maintain >= cfg_.maintain_every) {
-    r.mutations_since_maintain = 0;
-    const uint64_t mt0 = obs::now_ns();
-    store_.maintain();
-    r.trace.add("store", "maintain", mt0, obs::now_ns() - mt0, "cadence",
-                cfg_.maintain_every);
-    frame m;
-    m.op = opcode::maintain;
-    replicate(r, m, /*from_feed=*/false);
-  }
-  // Stage marks: t_start → t_applied is "apply" (payload decode + store
-  // work), t_applied → done is "encode" (response build + replication
-  // forwarding).  Each case marks t_applied when its store work ends.
-  const uint64_t t_start = obs::now_ns();
-  uint64_t t_applied = t_start;
-  try {
-    switch (f.op) {
-      case opcode::insert: {
-        // Key batches take the store's native bulk tier directly: one
-        // counting-sort partition + per-shard backend bulk inserts with
-        // §5.4 count-compression (store.h) — the whole point of a
-        // batch-unit wire format.
-        std::vector<uint64_t> keys = decode_keys(f);
-        // relaxed: single-writer (event loop) telemetry; readers need no ordering.
-        keys_.fetch_add(keys.size(), std::memory_order_relaxed);
-        uint64_t ok = store_.insert_bulk(keys);
-        t_applied = obs::now_ns();
-        const uint64_t sseq = replicate(r, f, from_feed);
-        queue_mutation_response(r, c, from_feed, opcode::insert, f.sequence,
-                                f.key_count, ok, keys.size() - ok,
-                                std::span<const uint64_t>(&sseq, 1));
-        break;
-      }
-      case opcode::insert_counted: {
-        std::vector<uint64_t> keys, counts;
-        decode_pairs(f, keys, counts);
-        // relaxed: single-writer (event loop) telemetry; readers need no ordering.
-        keys_.fetch_add(keys.size(), std::memory_order_relaxed);
-        std::vector<store::op> ops;
-        ops.reserve(keys.size());
-        for (size_t i = 0; i < keys.size(); ++i)
-          ops.push_back(store::make_insert(keys[i], counts[i]));
-        store::batch_result br = store_.apply(ops);
-        t_applied = obs::now_ns();
-        const uint64_t sseq = replicate(r, f, from_feed);
-        queue_mutation_response(r, c, from_feed, opcode::insert_counted,
-                                f.sequence, f.key_count, br.inserted,
-                                br.insert_failed,
-                                std::span<const uint64_t>(&sseq, 1));
-        break;
-      }
-      case opcode::query: {
-        // Queries need per-key answers (a bitmap), which the aggregate
-        // apply() path cannot carry — so probe point-wise but in parallel
-        // over the pool; point queries are thread-safe on every backend.
-        // Workers partition by bitmap *word*, so every word has exactly
-        // one writer and the fill needs no atomics.  The launch is sized
-        // in keys, not words: a word carries 64 probes.
-        std::vector<uint64_t> keys = decode_keys(f);
-        // relaxed: single-writer (event loop) telemetry; readers need no ordering.
-        keys_.fetch_add(keys.size(), std::memory_order_relaxed);
-        std::vector<uint64_t> words(bitmap_words(keys.size()), 0);
-        gpu::thread_pool::instance().parallel_ranges(
-            words.size(), [&](unsigned, uint64_t wb, uint64_t we) {
-              for (uint64_t w = wb; w < we; ++w) {
-                uint64_t bits = 0;
-                const uint64_t base = w * 64;
-                const uint64_t end =
-                    std::min<uint64_t>(base + 64, keys.size());
-                for (uint64_t i = base; i < end; ++i)
-                  if (store_.contains(keys[i]))
-                    bits |= uint64_t{1} << (i - base);
-                words[w] = bits;
-              }
-            },
-            keys.size());
-        t_applied = obs::now_ns();
-        append_out(c, encode_query_response(f.sequence, f.key_count, words));
-        break;
-      }
-      case opcode::erase: {
-        std::vector<uint64_t> keys = decode_keys(f);
-        // relaxed: single-writer (event loop) telemetry; readers need no ordering.
-        keys_.fetch_add(keys.size(), std::memory_order_relaxed);
-        std::vector<store::op> ops;
-        ops.reserve(keys.size());
-        for (uint64_t k : keys) ops.push_back(store::make_erase(k));
-        store::batch_result br = store_.apply(ops);
-        t_applied = obs::now_ns();
-        const uint64_t sseq = replicate(r, f, from_feed);
-        queue_mutation_response(r, c, from_feed, opcode::erase, f.sequence,
-                                f.key_count, br.erased, br.erase_missing,
-                                std::span<const uint64_t>(&sseq, 1));
-        break;
-      }
-      case opcode::count: {
-        std::vector<uint64_t> keys = decode_keys(f);
-        // relaxed: single-writer (event loop) telemetry; readers need no ordering.
-        keys_.fetch_add(keys.size(), std::memory_order_relaxed);
-        std::vector<uint64_t> counts(keys.size());
-        gpu::launch_ranges(keys.size(),
-                           [&](unsigned, uint64_t b, uint64_t e) {
-                             for (uint64_t i = b; i < e; ++i)
-                               counts[i] = store_.count(keys[i]);
-                           });
-        t_applied = obs::now_ns();
-        append_out(c, encode_count_response(f.sequence, counts));
-        break;
-      }
-      case opcode::stats: {
-        // Exposition variants ride the shard_hint (frame.h): metrics is
-        // the Prometheus-style text scrape, trace the chrome://tracing
-        // dump.  The default stays the report JSON.
-        std::string text;
-        if (f.shard_hint == kStatsMetricsHint)
-          text = registry_.render();
-        else if (f.shard_hint == kStatsTraceHint)
-          text = trace_json();
-        else
-          text = stats_json_text(obs::now_ns());
-        t_applied = obs::now_ns();
-        append_out(c, encode_stats_response(f.sequence, text));
-        break;
-      }
-      case opcode::maintain: {
-        // Host-phased by construction: the loop is the only store writer.
-        // A ranged payload (multi-lane primaries replicate their maintain
-        // as one frame per shard slice) grows just that slice.
-        const auto m =
-            f.payload.size() == 8
-                ? store_.maintain_range(get_u32(f.payload.data()),
-                                        get_u32(f.payload.data() + 4))
-                : store_.maintain();
-        t_applied = obs::now_ns();
-        r.trace.add("store", "maintain", t_start, t_applied - t_start,
-                    "levels", m.total_levels);
-        append_out(c, encode_maintain_response(f.sequence, m.shards_grown,
-                                               m.max_depth, m.total_levels));
-        replicate(r, f, from_feed);
-        break;
-      }
-      case opcode::snapshot: {
-        if (cfg_.snapshot_path.empty()) {
-          append_out(c, encode_error_response(
-                            opcode::snapshot, f.sequence,
-                            wire_status::unsupported,
-                            "server was started without a snapshot path"));
-          break;
-        }
-        store::save_store(store_, cfg_.snapshot_path, repl_position());
-        uint64_t bytes = static_cast<uint64_t>(
-            std::filesystem::file_size(cfg_.snapshot_path));
-        t_applied = obs::now_ns();
-        r.trace.add("store", "snapshot", t_start, t_applied - t_start,
-                    "bytes", bytes);
-        append_out(c, encode_snapshot_response(f.sequence, bytes));
-        break;
-      }
-      case opcode::sync: {
-        serve_sync(r, c, f);
-        t_applied = obs::now_ns();
-        break;
-      }
-      case opcode::ping: {
-        t_applied = obs::now_ns();
-        append_out(c, encode_ping_response(f.sequence));
-        break;
-      }
-    }
-  } catch (const std::exception& e) {
-    // Handler failures (snapshot I/O, allocation) are the server's fault,
-    // not the stream's: answer with an error frame, keep the connection.
-    t_applied = obs::now_ns();
-    append_out(c, encode_error_response(f.op, f.sequence, wire_status::error,
-                                        e.what()));
-  }
-  const uint64_t t_done = obs::now_ns();
-  r.stage_apply_ns.record(t_applied - t_start);
-  r.stage_encode_ns.record(t_done - t_applied);
-  r.op_hist[static_cast<size_t>(f.op)].record(t_done - t_start);
-  r.trace.add("wire", op_name(f.op), t_start, t_done - t_start, "keys",
-              f.key_count);
-}
-
-void server::handle_frame_mt(reactor& r, connection& c, const frame& f,
-                             bool from_feed, bool mutating) {
-  const uint64_t t_start = obs::now_ns();
   switch (f.op) {
     case opcode::ping: {
       append_out(c, encode_ping_response(f.sequence));
       const uint64_t t_done = obs::now_ns();
+      r.stage_apply_ns.record(0);
       r.stage_encode_ns.record(t_done - t_start);
       r.op_hist[static_cast<size_t>(opcode::ping)].record(t_done - t_start);
       r.trace.add("wire", "ping", t_start, t_done - t_start, "keys", 0);
@@ -2291,47 +1891,37 @@ void server::handle_frame_mt(reactor& r, connection& c, const frame& f,
     case opcode::query:
     case opcode::erase:
     case opcode::count: {
-      // Maintain cadence still counts per reactor; the growth itself is a
-      // whole-store stop-the-world affair, so it travels to reactor 0 as
-      // an unowned ctrl message instead of running here.
-      if (mutating && !from_feed && cfg_.maintain_every != 0 &&
+      // Periodic skew relief: after enough mutating frames, grow pressured
+      // shards (overflow cascades) without waiting for a client to ask.
+      // The cadence counts per reactor; the pass is a whole-store
+      // stop-the-world affair on reactor 0 — in place, ahead of this
+      // frame, when this is reactor 0.  Feed traffic never triggers it:
+      // the primary's forwarded MAINTAIN frames (including these) drive
+      // replica growth at the same stream positions, keeping cascade
+      // shapes in lockstep.
+      if (mutating && cfg_.maintain_every != 0 &&
           ++r.mutations_since_maintain >= cfg_.maintain_every) {
         r.mutations_since_maintain = 0;
-        reactor_msg m;
-        m.k = reactor_msg::kind::ctrl;
-        m.origin = r.id;
-        m.fr.op = opcode::maintain;
-        post(r, 0, std::move(m));
+        frame m;
+        m.op = opcode::maintain;
+        route_ctrl(r, nullptr, m, t_start);
       }
-      route_batch(r, c, f, from_feed, t_start);
+      route_batch(r, c, f, /*from_feed=*/false, t_start, {});
       return;
     }
     case opcode::stats:
     case opcode::maintain:
     case opcode::snapshot:
-    case opcode::sync: {
-      // Control plane: executes on reactor 0 under the stop-the-world
-      // barrier.  The connection is pinned by `inflight` until the reply
-      // (built on reactor 0, appended directly — the conn's owner is
-      // parked while the barrier holds) is queued.
-      ++c.inflight;
-      reactor_msg m;
-      m.k = reactor_msg::kind::ctrl;
-      m.origin = r.id;
-      m.conn = &c;
-      m.fr = f;
-      m.from_feed = from_feed;
-      m.a = t_start;
-      post(r, 0, std::move(m));
+    case opcode::sync:
+      route_ctrl(r, &c, f, t_start);
       return;
-    }
   }
 }
 
 // -- Batch routing ------------------------------------------------------------
 
 void server::route_batch(reactor& r, connection& c, const frame& f,
-                         bool from_feed, uint64_t t_start) {
+                         bool from_feed, uint64_t t_start, std::string error) {
   std::vector<uint64_t> keys, counts;
   if (f.op == opcode::insert_counted)
     decode_pairs(f, keys, counts);
@@ -2339,187 +1929,240 @@ void server::route_batch(reactor& r, connection& c, const frame& f,
     keys = decode_keys(f);
   // relaxed: single-writer (event loop) telemetry; readers need no ordering.
   keys_.fetch_add(keys.size(), std::memory_order_relaxed);
-  const bool mutating = f.op == opcode::insert ||
-                        f.op == opcode::insert_counted ||
-                        f.op == opcode::erase;
-  // Partition per key by the store's own shard function — the wire-level
-  // shard_hint is advisory and never trusted for ownership.
-  std::vector<std::vector<uint64_t>> pk(nr_), pc(nr_);
-  std::vector<std::vector<uint32_t>> pi(nr_);
-  for (size_t i = 0; i < keys.size(); ++i) {
-    const uint32_t owner = shard_owner_[store_.shard_of(keys[i])];
-    pk[owner].push_back(keys[i]);
-    if (f.op == opcode::insert_counted) pc[owner].push_back(counts[i]);
-    pi[owner].push_back(static_cast<uint32_t>(i));
-  }
-  uint32_t nparts = 0;
-  for (uint32_t k = 0; k < nr_; ++k)
-    if (!pk[k].empty()) ++nparts;
-  if (nparts == 0) {
-    // Empty batch: answer inline — there is nothing to gate on.
-    if (f.op == opcode::query)
-      append_out(c, encode_query_response(f.sequence, f.key_count, {}));
-    else if (f.op == opcode::count)
-      append_out(c, encode_count_response(f.sequence, {}));
-    else
-      queue_mutation_response(r, c, from_feed, f.op, f.sequence, f.key_count,
-                              0, 0, {});
-    const uint64_t t_done = obs::now_ns();
-    r.stage_encode_ns.record(t_done - t_start);
-    r.op_hist[static_cast<size_t>(f.op)].record(t_done - t_start);
-    r.trace.add("wire", op_name(f.op), t_start, t_done - t_start, "keys",
-                f.key_count);
-    return;
-  }
-  const uint64_t ticket = r.next_ticket++;
   pending_resp p;
   p.conn = &c;
   p.op = f.op;
   p.client_seq = f.sequence;
   p.key_count = f.key_count;
   p.from_feed = from_feed;
-  p.parts_left = nparts;
   p.t_start = t_start;
-  if (f.op == opcode::query)
-    p.words.assign(bitmap_words(keys.size()), 0);
-  else if (f.op == opcode::count)
-    p.words.assign(keys.size(), 0);
+  p.error = std::move(error);
+  if (keys.empty()) {
+    // Empty batch: nothing to apply or gate on — answer inline.
+    r.stage_apply_ns.record(0);
+    finish_resp(r, p);
+    return;
+  }
+  // Partition per key by the store's own shard function — the wire-level
+  // shard_hint is advisory and never trusted for ownership.  A batch that
+  // lands on one reactor is one part that keeps the decoded vectors and
+  // replicates the received frame as-is.  Ownership is contiguous, so a
+  // reactor that owns the first and the last shard owns every key.
+  auto owner_of = [&](uint64_t key) {
+    return shard_owner_[store_.shard_of(key)];
+  };
+  const uint32_t first = owner_of(keys[0]);
+  size_t split =
+      shard_owner_.front() == shard_owner_.back() ? keys.size() : 1;
+  while (split < keys.size() && owner_of(keys[split]) == first) ++split;
+  const bool whole = split == keys.size();
+  std::vector<reactor_msg> parts(nr_);
+  if (whole) {
+    parts[first].keys = std::move(keys);
+    parts[first].counts = std::move(counts);
+  } else {
+    if (f.op == opcode::query)
+      p.words.assign(bitmap_words(keys.size()), 0);
+    else if (f.op == opcode::count)
+      p.words.assign(keys.size(), 0);
+    for (size_t i = 0; i < keys.size(); ++i) {
+      reactor_msg& w = parts[i < split ? first : owner_of(keys[i])];
+      w.keys.push_back(keys[i]);
+      if (f.op == opcode::insert_counted) w.counts.push_back(counts[i]);
+      w.idx.push_back(static_cast<uint32_t>(i));
+    }
+  }
+  const uint64_t ticket = r.next_ticket++;
+  for (const reactor_msg& w : parts)
+    if (!w.keys.empty()) ++p.parts_left;
   r.pending.emplace(ticket, std::move(p));
   // The connection survives sweep_dead while parts are in flight — a
   // folded-back done message must never find a dangling conn pointer.
   ++c.inflight;
-  (void)mutating;
   for (uint32_t k = 0; k < nr_; ++k) {
-    if (k == r.id || pk[k].empty()) continue;
-    reactor_msg m;
-    m.k = reactor_msg::kind::work;
-    m.origin = r.id;
-    m.ticket = ticket;
-    m.op = f.op;
-    m.from_feed = from_feed;
-    m.keys = std::move(pk[k]);
-    m.counts = std::move(pc[k]);
-    m.idx = std::move(pi[k]);
-    post(r, k, std::move(m));
-  }
-  if (!pk[r.id].empty()) {
-    reactor_msg w;
+    reactor_msg& w = parts[k];
+    if (w.keys.empty()) continue;
     w.k = reactor_msg::kind::work;
     w.origin = r.id;
     w.ticket = ticket;
     w.op = f.op;
     w.from_feed = from_feed;
-    w.keys = std::move(pk[r.id]);
-    w.counts = std::move(pc[r.id]);
-    reactor_msg d;
-    d.k = reactor_msg::kind::done;
-    d.origin = r.id;
-    d.ticket = ticket;
-    d.op = f.op;
-    d.from_feed = from_feed;
-    d.idx = std::move(pi[r.id]);
-    apply_work(r, w, d);
+    if (k == r.id) continue;
+    // The owner replicates the received frame as-is; feed frames were
+    // chained on arrival and are never replicated again.
+    if (whole && !from_feed) w.fr = f;
+    post(r, k, std::move(w));
+  }
+  if (!parts[r.id].keys.empty()) {
+    reactor_msg d = apply_work(r, parts[r.id], whole ? &f : nullptr);
     complete_part(r, ticket, d);
   }
 }
 
-void server::apply_work(reactor& r, const reactor_msg& w, reactor_msg& d) {
+server::reactor_msg server::apply_work(reactor& r, reactor_msg& w,
+                                       const frame* whole) {
+  reactor_msg d;
+  d.k = reactor_msg::kind::done;
+  d.origin = r.id;
+  d.ticket = w.ticket;
+  d.op = w.op;
+  d.from_feed = w.from_feed;
+  d.idx = std::move(w.idx);
+  const std::vector<uint64_t>& keys = w.keys;
   const uint64_t t0 = obs::now_ns();
-  switch (w.op) {
-    case opcode::insert: {
-      const uint64_t ok = store_.insert_bulk(w.keys);
-      d.a = ok;
-      d.b = w.keys.size() - ok;
-      break;
+  try {
+    switch (w.op) {
+      case opcode::insert: {
+        // Key batches take the store's native bulk tier directly: one
+        // counting-sort partition + per-shard backend bulk inserts with
+        // §5.4 count-compression (store.h).
+        const uint64_t ok = store_.insert_bulk(keys);
+        d.a = ok;
+        d.b = keys.size() - ok;
+        break;
+      }
+      case opcode::insert_counted: {
+        std::vector<store::op> ops;
+        ops.reserve(keys.size());
+        for (size_t i = 0; i < keys.size(); ++i)
+          ops.push_back(store::make_insert(keys[i], w.counts[i]));
+        const store::batch_result br = store_.apply(ops);
+        d.a = br.inserted;
+        d.b = br.insert_failed;
+        break;
+      }
+      case opcode::erase: {
+        std::vector<store::op> ops;
+        ops.reserve(keys.size());
+        for (uint64_t k : keys) ops.push_back(store::make_erase(k));
+        const store::batch_result br = store_.apply(ops);
+        d.a = br.erased;
+        d.b = br.erase_missing;
+        break;
+      }
+      case opcode::query: {
+        // Queries need per-key answers (a bitmap over this part's keys),
+        // which the aggregate apply() path cannot carry — so probe
+        // point-wise through the gated pool launch; point queries are
+        // thread-safe on every backend.  Workers partition by bitmap
+        // *word*, so every word has exactly one writer and the fill needs
+        // no atomics.  The launch is sized in keys, not words: a word
+        // carries 64 probes.
+        d.vals.assign(bitmap_words(keys.size()), 0);
+        gpu::thread_pool::instance().parallel_ranges(
+            d.vals.size(),
+            [&](unsigned, uint64_t wb, uint64_t we) {
+              for (uint64_t wi = wb; wi < we; ++wi) {
+                uint64_t bits = 0;
+                const uint64_t base = wi * 64;
+                const uint64_t end =
+                    std::min<uint64_t>(base + 64, keys.size());
+                for (uint64_t i = base; i < end; ++i)
+                  if (store_.contains(keys[i]))
+                    bits |= uint64_t{1} << (i - base);
+                d.vals[wi] = bits;
+              }
+            },
+            keys.size());
+        break;
+      }
+      case opcode::count: {
+        d.vals.resize(keys.size());
+        gpu::thread_pool::instance().parallel_ranges(
+            keys.size(),
+            [&](unsigned, uint64_t b, uint64_t e) {
+              for (uint64_t i = b; i < e; ++i)
+                d.vals[i] = store_.count(keys[i]);
+            },
+            keys.size());
+        break;
+      }
+      default:
+        break;
     }
-    case opcode::insert_counted: {
-      std::vector<store::op> ops;
-      ops.reserve(w.keys.size());
-      for (size_t i = 0; i < w.keys.size(); ++i)
-        ops.push_back(store::make_insert(w.keys[i], w.counts[i]));
-      const store::batch_result br = store_.apply(ops);
-      d.a = br.inserted;
-      d.b = br.insert_failed;
-      break;
+    const bool mutating = w.op == opcode::insert ||
+                          w.op == opcode::insert_counted ||
+                          w.op == opcode::erase;
+    if (mutating && !w.from_feed) {
+      if (whole != nullptr) {
+        d.part_seq = replicate(r, *whole);
+      } else {
+        // Replicate this reactor's slice as its own lane-stamped frame: a
+        // subscriber replays each lane independently, and re-applying the
+        // slice yields exactly what this reactor just did.
+        frame pf;
+        pf.op = w.op;
+        pf.key_count = static_cast<uint32_t>(keys.size());
+        pf.payload.reserve(keys.size() *
+                           (w.op == opcode::insert_counted ? 16 : 8));
+        for (size_t i = 0; i < keys.size(); ++i) {
+          put_u64(pf.payload, keys[i]);
+          if (w.op == opcode::insert_counted) put_u64(pf.payload, w.counts[i]);
+        }
+        d.part_seq = replicate(r, pf);
+      }
     }
-    case opcode::erase: {
-      std::vector<store::op> ops;
-      ops.reserve(w.keys.size());
-      for (uint64_t k : w.keys) ops.push_back(store::make_erase(k));
-      const store::batch_result br = store_.apply(ops);
-      d.a = br.erased;
-      d.b = br.erase_missing;
-      break;
-    }
-    case opcode::query: {
-      d.vals.resize(w.keys.size());
-      for (size_t i = 0; i < w.keys.size(); ++i)
-        d.vals[i] = store_.contains(w.keys[i]) ? 1 : 0;
-      break;
-    }
-    case opcode::count: {
-      d.vals.resize(w.keys.size());
-      for (size_t i = 0; i < w.keys.size(); ++i)
-        d.vals[i] = store_.count(w.keys[i]);
-      break;
-    }
-    default:
-      break;
-  }
-  const bool mutating = w.op == opcode::insert ||
-                        w.op == opcode::insert_counted ||
-                        w.op == opcode::erase;
-  if (mutating && !w.from_feed) {
-    // Replicate this reactor's slice as its own lane-stamped frame: a
-    // subscriber replays each lane independently, and re-applying the
-    // slice yields exactly what this reactor just did.
-    frame pf;
-    pf.op = w.op;
-    pf.key_count = static_cast<uint32_t>(w.keys.size());
-    pf.payload.reserve(w.keys.size() *
-                       (w.op == opcode::insert_counted ? 16 : 8));
-    for (size_t i = 0; i < w.keys.size(); ++i) {
-      put_u64(pf.payload, w.keys[i]);
-      if (w.op == opcode::insert_counted) put_u64(pf.payload, w.counts[i]);
-    }
-    d.part_seq = replicate(r, pf, /*from_feed=*/false);
+  } catch (const std::exception& e) {
+    // Apply failures (a WAL segment that cannot be created, allocation)
+    // are the server's fault, not the stream's: the whole response turns
+    // into an in-band error frame, and the connection and loop survive.
+    d.error = *e.what() != '\0' ? e.what() : "gf: batch part failed";
   }
   r.stage_apply_ns.record(obs::now_ns() - t0);
+  return d;
 }
 
 void server::complete_part(reactor& r, uint64_t ticket, reactor_msg& d) {
   const auto it = r.pending.find(ticket);
   if (it == r.pending.end()) return;  // conn torn down mid-flight
   pending_resp& p = it->second;
-  switch (d.op) {
-    case opcode::insert:
-    case opcode::insert_counted:
-    case opcode::erase:
-      p.a += d.a;
-      p.b += d.b;
-      if (d.part_seq != 0) p.part_seqs.push_back(d.part_seq);
-      break;
-    case opcode::query:
-      for (size_t j = 0; j < d.idx.size(); ++j)
-        if (d.vals[j])
-          p.words[d.idx[j] >> 6] |= uint64_t{1} << (d.idx[j] & 63);
-      break;
-    case opcode::count:
-      for (size_t j = 0; j < d.idx.size(); ++j) p.words[d.idx[j]] = d.vals[j];
-      break;
-    default:
-      break;
+  if (!d.error.empty()) {
+    if (p.error.empty()) p.error = std::move(d.error);
+  } else {
+    switch (d.op) {
+      case opcode::insert:
+      case opcode::insert_counted:
+      case opcode::erase:
+        p.a += d.a;
+        p.b += d.b;
+        if (d.part_seq != 0) p.part_seqs.push_back(d.part_seq);
+        break;
+      case opcode::query:
+        if (d.idx.empty()) {  // the whole batch: its bitmap is the answer
+          p.words = std::move(d.vals);
+          break;
+        }
+        for (size_t j = 0; j < d.idx.size(); ++j)
+          if ((d.vals[j >> 6] >> (j & 63)) & 1)
+            p.words[d.idx[j] >> 6] |= uint64_t{1} << (d.idx[j] & 63);
+        break;
+      case opcode::count:
+        if (d.idx.empty()) {
+          p.words = std::move(d.vals);
+          break;
+        }
+        for (size_t j = 0; j < d.idx.size(); ++j)
+          p.words[d.idx[j]] = d.vals[j];
+        break;
+      default:
+        break;
+    }
   }
   if (--p.parts_left != 0) return;
   pending_resp done = std::move(p);
   r.pending.erase(it);
+  if (done.conn->inflight > 0) --done.conn->inflight;
   finish_resp(r, done);
 }
 
 void server::finish_resp(reactor& r, pending_resp& p) {
-  if (p.conn->inflight > 0) --p.conn->inflight;
+  // Answered even on a dead connection: a condemned client still gets the
+  // frames it sent before the bad bytes (sweep_dead flushes them).
   const uint64_t t0 = obs::now_ns();
-  if (!p.conn->dead) {
+  if (!p.error.empty()) {
+    append_out(*p.conn, encode_error_response(p.op, p.client_seq,
+                                              wire_status::error, p.error));
+  } else {
     switch (p.op) {
       case opcode::query:
         append_out(*p.conn,
@@ -2544,25 +2187,54 @@ void server::finish_resp(reactor& r, pending_resp& p) {
 
 // -- Control plane (reactor 0, stop-the-world) --------------------------------
 
-void server::exec_ctrl(reactor& r, reactor_msg& m) {
-  if (m.conn == nullptr) {
-    // Synthesized maintain (cadence trigger from any reactor) — no
-    // requester to answer.
-    run_quiesced([&] { maintain_all_slices(r, nullptr, 0, obs::now_ns()); });
+void server::route_ctrl(reactor& r, connection* c, const frame& f,
+                        uint64_t t_start) {
+  // The requester is pinned by `inflight` until the reply is queued (on
+  // reactor 0, appended directly — the conn's owner is parked while the
+  // barrier holds).
+  if (c != nullptr) ++c->inflight;
+  if (r.id == 0) {
+    exec_ctrl(r, c, f, t_start);
     return;
   }
+  reactor_msg m;
+  m.k = reactor_msg::kind::ctrl;
+  m.origin = r.id;
+  m.conn = c;
+  m.fr = f;
+  m.a = t_start;
+  post(r, 0, std::move(m));
+}
+
+void server::checkpoint_if_due(reactor& r) {
+  if (cfg_.durability == nullptr || !cfg_.durability->checkpoint_due())
+    return;
+  // A checkpoint needs every lane quiesced, so it is a control op: a
+  // SNAPSHOT without a requester.
+  frame f;
+  f.op = opcode::snapshot;
+  route_ctrl(r, nullptr, f, obs::now_ns());
+}
+
+void server::exec_ctrl(reactor& r, connection* c, const frame& f,
+                       uint64_t t_start) {
+  // Several reactors may ask for one due checkpoint: only the first pays
+  // for a barrier.
+  if (c == nullptr && f.op == opcode::snapshot &&
+      !cfg_.durability->checkpoint_due())
+    return;
   run_quiesced([&] {
-    connection& c = *m.conn;
-    if (c.inflight > 0) --c.inflight;
-    if (c.dead) return;
-    const frame& f = m.fr;
-    const uint64_t t_start = m.a;
+    // Served even on a dead connection, like data frames (finish_resp).
+    if (c != nullptr && c->inflight > 0) --c->inflight;
     uint64_t t_applied = t_start;
     try {
       switch (f.op) {
         case opcode::stats: {
           // Rendered inside the barrier: every reactor is parked, so the
           // scrape is a consistent cut — no counter can tear mid-render.
+          // Exposition variants ride the shard_hint (frame.h): metrics is
+          // the Prometheus-style text scrape, trace the chrome://tracing
+          // dump.  The default stays the report JSON.
           std::string text;
           if (f.shard_hint == kStatsMetricsHint)
             text = registry_.render();
@@ -2571,20 +2243,29 @@ void server::exec_ctrl(reactor& r, reactor_msg& m) {
           else
             text = stats_json_text(obs::now_ns());
           t_applied = obs::now_ns();
-          append_out(c, encode_stats_response(f.sequence, text));
+          append_out(*c, encode_stats_response(f.sequence, text));
           break;
         }
         case opcode::maintain: {
-          maintain_all_slices(r, &c, f.sequence, t_start);
+          // A ranged MAINTAIN (two u32s) grows only its shard range.
+          const bool ranged = f.payload.size() == 8;
+          maintain_all_slices(
+              r, c, f.sequence, ranged ? get_u32(f.payload.data()) : 0,
+              ranged ? get_u32(f.payload.data() + 4) : store_.num_shards(),
+              t_start);
           t_applied = obs::now_ns();
           break;
         }
         case opcode::snapshot: {
+          if (c == nullptr) {
+            cfg_.durability->checkpoint(store_);
+            break;
+          }
           if (cfg_.snapshot_path.empty()) {
-            append_out(c, encode_error_response(
-                              opcode::snapshot, f.sequence,
-                              wire_status::unsupported,
-                              "server was started without a snapshot path"));
+            append_out(*c, encode_error_response(
+                               opcode::snapshot, f.sequence,
+                               wire_status::unsupported,
+                               "server was started without a snapshot path"));
             break;
           }
           store::save_store(store_, cfg_.snapshot_path, repl_position());
@@ -2593,11 +2274,11 @@ void server::exec_ctrl(reactor& r, reactor_msg& m) {
           t_applied = obs::now_ns();
           r.trace.add("store", "snapshot", t_start, t_applied - t_start,
                       "bytes", bytes);
-          append_out(c, encode_snapshot_response(f.sequence, bytes));
+          append_out(*c, encode_snapshot_response(f.sequence, bytes));
           break;
         }
         case opcode::sync: {
-          serve_sync(r, c, f);
+          serve_sync(r, *c, f);
           t_applied = obs::now_ns();
           break;
         }
@@ -2605,10 +2286,19 @@ void server::exec_ctrl(reactor& r, reactor_msg& m) {
           break;
       }
     } catch (const std::exception& e) {
+      // Handler failures (snapshot or checkpoint I/O, allocation) are the
+      // server's fault, not the stream's: answer with an error frame and
+      // keep the connection; a synthesized op leaves a trace event.
       t_applied = obs::now_ns();
-      append_out(c, encode_error_response(f.op, f.sequence,
-                                          wire_status::error, e.what()));
+      if (c == nullptr) {
+        r.trace.add("store", "ctrl_failed", t_start, t_applied - t_start,
+                    "op", static_cast<uint64_t>(f.op));
+        return;
+      }
+      append_out(*c, encode_error_response(f.op, f.sequence,
+                                           wire_status::error, e.what()));
     }
+    if (c == nullptr) return;  // synthesized: no wire response to time
     const uint64_t t_done = obs::now_ns();
     r.stage_apply_ns.record(t_applied - t_start);
     r.stage_encode_ns.record(t_done - t_applied);
@@ -2619,23 +2309,26 @@ void server::exec_ctrl(reactor& r, reactor_msg& m) {
 }
 
 void server::maintain_all_slices(reactor& r, connection* c,
-                                 uint64_t client_seq, uint64_t t_start) {
-  // Caller holds the stop-the-world barrier (or the world is one
-  // reactor): the store has no other writer, and replicating per-slice
-  // ranged frames on each reactor's own lane keeps every lane's stream a
-  // faithful replay of what its owner did.
-  uint64_t grown = 0, max_depth = 0, total = 0;
+                                 uint64_t client_seq, uint32_t begin,
+                                 uint32_t end, uint64_t t_start) {
+  // Caller holds the stop-the-world barrier: the store has no other
+  // writer, and replicating per-slice ranged frames on each reactor's own
+  // lane keeps every lane's stream a faithful replay of what its owner
+  // did.
+  uint64_t grown = 0, max_depth = 1, total = 0;
   for (uint32_t k = 0; k < nr_; ++k) {
-    const auto m = store_.maintain_range(reactors_[k]->shard_begin,
-                                         reactors_[k]->shard_end);
+    const uint32_t lo = std::max(begin, reactors_[k]->shard_begin);
+    const uint32_t hi = std::min(end, reactors_[k]->shard_end);
+    if (lo >= hi) continue;
+    const auto m = store_.maintain_range(lo, hi);
     grown += m.shards_grown;
     max_depth = std::max<uint64_t>(max_depth, m.max_depth);
     total += m.total_levels;
     frame mf;
     mf.op = opcode::maintain;
-    put_u32(mf.payload, reactors_[k]->shard_begin);
-    put_u32(mf.payload, reactors_[k]->shard_end);
-    replicate(*reactors_[k], mf, /*from_feed=*/false);
+    put_u32(mf.payload, lo);
+    put_u32(mf.payload, hi);
+    replicate(*reactors_[k], mf);
   }
   r.trace.add("store", "maintain", t_start, obs::now_ns() - t_start,
               "levels", total);
@@ -2734,7 +2427,6 @@ std::string server::stats_json_text(uint64_t t_now) const {
 }
 
 std::string server::trace_json() const {
-  if (nr_ == 1) return reactors_[0]->trace.to_chrome_json();
   // Merge every reactor's ring into one export, tid = reactor id + 1, in
   // global timestamp order so chrome://tracing draws a coherent timeline.
   std::vector<std::pair<obs::trace_event, int>> evs;

@@ -1,18 +1,21 @@
 // net::server — the sharded filter store as a TCP service.
 //
-// Wire path: N poll-driven reactor threads (server_config::reactors; the
-// default of 1 preserves the original single-loop behavior bit-for-bit).
-// One acceptor (reactor 0) distributes inbound connections round-robin by
-// handing the raw fd to the target reactor over its mailbox; each reactor
-// then runs its own poll loop with per-connection frame decoders and write
-// buffers.  Every reactor owns a disjoint contiguous slice of the store's
-// shards: decoded batches are partitioned once at decode time by owning
-// reactor (per key, via filter_store::shard_of — the client's shard_hint is
+// Wire path: N poll-driven reactor threads (server_config::reactors,
+// default 1).  Every N runs the same code: one loop is simply the case
+// where reactor 0 owns every shard and every connection.  One acceptor
+// (reactor 0) distributes inbound connections round-robin by handing the
+// raw fd to the target reactor over its mailbox; each reactor then runs
+// its own poll loop with per-connection frame decoders and write buffers.
+// Every reactor owns a disjoint contiguous slice of the store's shards:
+// decoded batches are partitioned once at decode time by owning reactor
+// (per key, via filter_store::shard_of — the client's shard_hint is
 // advisory and never trusted for routing) and handed to owners over
 // bounded SPSC mailboxes (net/mailbox.h); results fold back on the
-// requesting reactor, which releases the one wire response.  Within each
-// part the store's bulk machinery — filter_store::insert_bulk for key
-// batches, filter_store::apply for op batches — keeps the paper's
+// requesting reactor, which releases the one wire response.  A batch that
+// lands on one reactor (every batch when there is one) travels as one part
+// that keeps its decoded vectors and replicates the received frame as-is.
+// Within each part the store's bulk machinery — filter_store::insert_bulk
+// for key batches, filter_store::apply for op batches — keeps the paper's
 // batch-amortization lesson (§4.2/§5.4) intact across the socket.
 //
 // (SO_REUSEPORT was considered for connection distribution and rejected:
@@ -28,24 +31,35 @@
 // Replication (net/replication.h): a connection that sends SYNC becomes a
 // *subscriber* — it receives the snapshot (chunked frames) and, from that
 // exact stream position on, a copy of every mutating batch the server
-// applies.  A multi-reactor server advances one replication sequence *lane
-// per reactor* (net/lane.h: lane id in the sequence's top byte); the
-// snapshot transfer is prefixed with a lane table naming every lane's
-// position, subscribers receive all lanes on their one connection, and a
-// replica tracks gaps and resume positions per lane.  A single-reactor
-// server stamps lane 0 only, whose sequences are the plain pre-lane
-// integers.  A server in replica mode (read_only + attach_feed) applies
-// the stream coming down its *feed* connection (reactor 0 owns it), acks
-// each frame, detects per-lane sequence gaps, refuses client mutations
-// in-band, and keeps serving reads if the primary dies.  A multi-reactor
-// server only follows a feed read-only.
+// applies.  The server advances one replication sequence *lane per
+// reactor* (net/lane.h: lane id in the sequence's top byte; lane 0's
+// sequences are the plain integers, so a one-reactor server's sequence
+// numbering, WAL layout and resume handshake match the pre-lane protocol
+// byte for byte).  A multi-lane snapshot transfer is prefixed with a lane
+// table naming every lane's position, subscribers receive all lanes on
+// their one connection, and a replica tracks gaps and resume positions per
+// lane.
+// A server in replica mode (read_only + attach_feed; following a feed
+// requires read_only) applies the stream coming down its *feed*
+// connection (reactor 0 owns it), forwards each frame downstream as it
+// arrives, acks each frame, detects per-lane sequence gaps, refuses
+// client mutations in-band, and keeps serving reads if the primary dies.
 //
-// Control-plane frames (STATS / MAINTAIN / SNAPSHOT / SYNC) on a
-// multi-reactor server execute on reactor 0 inside a stop-the-world
-// barrier: every other reactor parks at its loop top, reactor 0 drains all
-// mailboxes, runs the operation against the quiesced store, and releases
-// the barrier.  This is what makes a metrics scrape, a snapshot, or a SYNC
-// bootstrap observe one consistent cut of all lanes.
+// Control-plane frames (STATS / MAINTAIN / SNAPSHOT / SYNC), the
+// auto-maintain cadence and WAL checkpoints execute on reactor 0 inside a
+// stop-the-world barrier: every other reactor parks at its loop top,
+// reactor 0 drains all mailboxes, runs the operation against the quiesced
+// store, and releases the barrier.  Reactor 0 runs them in place (in frame
+// order); other reactors post them there.  This is what makes a metrics
+// scrape, a snapshot, or a SYNC bootstrap observe one consistent cut of
+// all lanes.  With one reactor the barrier parks nobody and costs one
+// uncontended lock; gf_stw_pauses_total / gf_stw_pause_ns count and time
+// every pause.
+//
+// Failures: a throw while applying a batch part or a control op (a WAL
+// segment that cannot be created, snapshot I/O, allocation) is answered
+// in-band with a wire_status::error frame carrying the message; the
+// connection and the loop survive.
 //
 // Hostile input: a structurally malformed frame (frame.h) or a payload
 // that disagrees with its opcode's shape (codec.h) condemns the
@@ -89,6 +103,8 @@ class durability_engine;  // src/persist/durability.h
 
 namespace gf::net {
 
+class replay_ring;  // net/replay_ring.h
+
 struct server_config {
   std::string bind_addr = "127.0.0.1";
   uint16_t port = 0;  ///< 0 = ephemeral; read the real one via port()
@@ -109,9 +125,9 @@ struct server_config {
   /// loop is the store's only writer, so the pass is host-phased by
   /// construction.  On a replica the feed's forwarded MAINTAIN frames
   /// drive growth instead, keeping cascade shapes in lockstep with the
-  /// primary (feed traffic never triggers the local cadence).  With
-  /// multiple reactors the cadence is per reactor and the pass runs under
-  /// the stop-the-world barrier, replicated as per-lane ranged frames.
+  /// primary (feed traffic never triggers the local cadence).  The cadence
+  /// is per reactor; the pass runs under the stop-the-world barrier and is
+  /// replicated as per-lane ranged frames.
   uint32_t maintain_every = 64;
   int backlog = 64;
   /// Event capacity of the in-memory trace ring (obs/trace.h): frame
@@ -120,12 +136,21 @@ struct server_config {
   /// events, so this bounds memory, not runtime.
   size_t trace_capacity = obs::trace_ring::kDefaultCapacity;
 
-  // -- Multi-reactor wire path ----------------------------------------------
+  // -- Reactors ------------------------------------------------------------
 
-  /// Reactor (event loop) thread count.  1 — the default — is the original
-  /// single-loop server, bit-for-bit.  Above 1, reactor k owns the
-  /// contiguous shard slice [k*S/N, (k+1)*S/N) and replication lane k;
-  /// clamped to kMaxLanes and to the store's shard count.
+  /// Reactor (event loop) thread count; clamped to kMaxLanes and to the
+  /// store's shard count.  Reactor k owns the contiguous shard slice
+  /// [k*S/N, (k+1)*S/N) and replication lane k.  Every count runs the same
+  /// frame path.  What 1 — the default — keeps byte for byte: lane-0
+  /// sequence numbering, the WAL layout, the resume handshake and the
+  /// metrics schema (no lane labels, no gf_reactor_* families).  What it
+  /// does differently from the old single-loop server: any MAINTAIN — the
+  /// cadence's or a client's — is replicated as the ranged [begin, end)
+  /// frame it ran ([0, S) unless the client sent a range; WAL replay and
+  /// feeds apply it exactly like the empty form); an empty INSERT/ERASE
+  /// is answered without taking a sequence, a WAL frame or a subscriber
+  /// copy; and following a feed requires read_only, as it does at every
+  /// count.
   uint32_t reactors = 1;
 
   // -- Replication ----------------------------------------------------------
@@ -186,11 +211,11 @@ struct server_config {
   /// mutating batch — auto-maintain's synthesized frames included — is
   /// appended at the same point it is fed to subscribers (each reactor
   /// appending its own lane's segment stream — wal-dir/lane-<k>/),
-  /// checkpoints run when due (under the stop-the-world barrier on a
-  /// multi-reactor server), and a reconnecting replica whose resume
-  /// position has wrapped out of a replay ring is served a delta read
-  /// back from the WAL instead of a whole snapshot.  Null disables
-  /// durability (PR 8 behavior).
+  /// checkpoints run under the stop-the-world barrier as soon as an
+  /// applied frame makes one due, and a reconnecting replica whose resume
+  /// position has wrapped out of a replay ring is served a delta read back
+  /// from the WAL instead of a whole snapshot.  Null disables durability:
+  /// a resume the replay ring cannot cover moves a whole snapshot.
   persist::durability_engine* durability = nullptr;
 
   // -- Ack-gated writes -----------------------------------------------------
@@ -292,16 +317,16 @@ class server {
   server_stats stats() const;
 
   /// Prometheus-style text exposition of every registered metric (what the
-  /// STATS request with shard_hint = kStatsMetricsHint returns — which, on
-  /// a multi-reactor server, renders under the stop-the-world barrier so
-  /// counters never tear).  Reads live store state: call from the loop
-  /// thread (the wire path does) or while run() is not live.
+  /// STATS request with shard_hint = kStatsMetricsHint returns — rendered
+  /// under the stop-the-world barrier so counters never tear).  Reads live
+  /// store state: call from the loop thread (the wire path does) or while
+  /// run() is not live.
   std::string metrics_text() const { return registry_.render(); }
 
   /// Recent events as chrome://tracing JSON (the STATS request with
   /// shard_hint = kStatsTraceHint; examples/store_server.cpp's --trace-out
-  /// writes it after run() returns).  Multi-reactor: per-reactor rings
-  /// merge into one export, tid = reactor id + 1.  Same threading
+  /// writes it after run() returns).  Per-reactor rings merge into one
+  /// export in timestamp order, tid = reactor id + 1.  Same threading
   /// contract as metrics_text().
   std::string trace_json() const;
 
@@ -320,34 +345,31 @@ class server {
   /// was condemned.
   bool drain_frames(reactor& r, connection& c);
   bool flush_writes(reactor& r, connection& c);  ///< false when peer gone
+  /// Client frame dispatch: data ops partition to owners (route_batch),
+  /// control ops run on reactor 0 (route_ctrl).
   void handle_frame(reactor& r, connection& c, const frame& f);
-  /// Multi-reactor dispatch: data ops partition to owners, control ops
-  /// travel to reactor 0 as ctrl messages.
-  void handle_frame_mt(reactor& r, connection& c, const frame& f,
-                       bool from_feed, bool mutating);
   void serve_sync(reactor& r, connection& c, const frame& f);
   void serve_snapshot(reactor& r, connection& c, const frame& f);
   void serve_resume(reactor& r, connection& c, const frame& f);
   void handle_invite(reactor& r, connection& c, const frame& f);
   void feed_frame(reactor& r, connection& c, const frame& f);
   void subscriber_ack(reactor& r, connection& c, const frame& f);
-  /// Stamp a just-applied mutation with its stream sequence on reactor
-  /// r's lane, copy it to every subscriber, append it to the WAL, and
-  /// record it in r's replay ring.  Returns the stamped sequence.
-  uint64_t replicate(reactor& r, const frame& f, bool from_feed);
-  /// Replica chain-forwarding at nr_ > 1: propagate a feed frame (its
-  /// upstream lane stamp intact) to WAL, subscribers, and the lane's ring
-  /// at arrival time, before the owners apply it.
+  /// Stamp a just-applied mutation with the next sequence on reactor r's
+  /// lane and publish it.  Returns the stamped sequence.
+  uint64_t replicate(reactor& r, const frame& f);
+  /// Replica chain-forwarding: publish a feed frame (its upstream lane
+  /// stamp intact) at arrival time, before the owners apply it.
   void chain_forward(reactor& r, const frame& f);
-  void forward_to_subs(reactor& r, uint64_t seq,
+  /// Append a stamped frame to the WAL, copy it to every subscriber, and
+  /// record it in `ring` (null: no ring holds that lane).
+  void publish(reactor& r, const frame& f, uint64_t seq, replay_ring* ring);
+  void forward_to_subs(reactor& r,
                        const std::shared_ptr<std::vector<uint8_t>>& bytes);
-  void deliver_to_sub(reactor& r, sub_entry& s,
-                      const std::vector<uint8_t>& bytes);
-  void register_subscriber(reactor& r, connection& c,
+  void deliver_to_sub(sub_entry& s, const std::vector<uint8_t>& bytes);
+  void register_subscriber(connection& c,
                            std::span<const uint64_t> acked_lanes,
                            size_t queued_bytes);
-  void recompute_acked(reactor& r);
-  uint64_t live_subscribers(const reactor& r) const;
+  void recompute_acked();
   /// Queue a mutating op's pair response — immediately, or parked behind
   /// the ack gate when cfg_.ack_replicas demands replica acknowledgment.
   /// `stream_seqs` holds one sequence per lane the batch landed on.
@@ -360,13 +382,16 @@ class server {
   /// attached subscribers.  `flush_deadline` forces degradation of
   /// everything still parked (shutdown).
   void service_acks(reactor& r, uint64_t now_ns, bool flush_deadline = false);
-  /// Fire due timers: reconnect attempts, ack deadlines, feed idleness,
-  /// multi-reactor checkpoints.
+  /// Fire due timers: reconnect attempts, ack deadlines, feed idleness.
   void service_timers(reactor& r, uint64_t now_ns);
   /// Milliseconds until the nearest timer, -1 when none is armed.
   int poll_timeout_ms(const reactor& r, uint64_t now_ns) const;
   void schedule_reconnect(uint64_t now_ns);
   void try_resync_feed();
+  /// Replace the store wholesale with a bootstrapped one (a snapshot
+  /// re-sync or an invite) and restart every lane at its table position.
+  void adopt_lineage(store::filter_store st,
+                     std::span<const uint64_t> lane_seqs);
   uint64_t next_jitter();  ///< deterministic xorshift64 step
   void send_invites();
   /// Adopt a subscribed primary connection as this server's feed (reactor
@@ -381,22 +406,33 @@ class server {
   /// histogram registrations point into the store's metrics bundle.
   void register_metrics();
 
-  // -- Multi-reactor machinery ----------------------------------------------
+  // -- Reactor machinery ----------------------------------------------------
 
   /// Partition a data batch by owning reactor, apply the local part
   /// inline, hand remote parts to their owners, and park the response
-  /// until every part folded back.
+  /// until every part folded back.  A non-empty `error` (a feed frame the
+  /// WAL refused) is still applied but answered as that error.
   void route_batch(reactor& r, connection& c, const frame& f, bool from_feed,
-                   uint64_t t_start);
-  /// Execute one part on its owning reactor, filling the done reply.
-  void apply_work(reactor& r, const reactor_msg& w, reactor_msg& d);
+                   uint64_t t_start, std::string error);
+  /// Execute one part on its owning reactor and return its done reply.
+  /// `whole` is the received frame when the part is the entire batch (it
+  /// is then replicated as-is), else null.
+  reactor_msg apply_work(reactor& r, reactor_msg& w, const frame* whole);
   void complete_part(reactor& r, uint64_t ticket, reactor_msg& d);
   void finish_resp(reactor& r, pending_resp& p);
-  void exec_ctrl(reactor& r, reactor_msg& m);
-  /// Stop-the-world maintenance over every reactor's slice, replicated as
-  /// per-lane ranged frames; responds on `c` when non-null.
+  /// Run a control op on reactor 0: in place when r is reactor 0, else
+  /// posted there.  `c` is the requester (null for the synthesized cadence
+  /// maintain and WAL checkpoint).
+  void route_ctrl(reactor& r, connection* c, const frame& f,
+                  uint64_t t_start);
+  void exec_ctrl(reactor& r, connection* c, const frame& f, uint64_t t_start);
+  /// Ask reactor 0 for a WAL checkpoint when one is due.
+  void checkpoint_if_due(reactor& r);
+  /// Stop-the-world maintenance over shards [begin, end) — every reactor's
+  /// part of it, replicated as per-lane ranged frames; responds on `c`
+  /// when non-null.
   void maintain_all_slices(reactor& r, connection* c, uint64_t client_seq,
-                           uint64_t t_start);
+                           uint32_t begin, uint32_t end, uint64_t t_start);
   std::string stats_json_text(uint64_t t_now) const;
   bool process_inboxes(reactor& r);
   void dispatch_msg(reactor& r, reactor_msg& m);
@@ -404,15 +440,15 @@ class server {
   void wake(uint32_t k);
   /// Park a non-zero reactor while a stop-the-world section runs.
   void park_for_stw(reactor& r);
-  /// Run `fn` with every other reactor parked and all mailboxes drained.
-  void stw(const std::function<void()>& fn);
-  /// stw() when not already inside one; plain call otherwise.
+  /// Run `fn` with every other reactor parked and all mailboxes drained
+  /// (the stop-the-world barrier; nested calls and calls while the
+  /// reactor threads are down just drain and run).
   void run_quiesced(const std::function<void()>& fn);
   void drain_all_inboxes_quiesced();
 
   uint32_t active_lanes() const;
-  /// Stream position: lane 0's scalar when one lane exists (the legacy
-  /// meaning), else the summed lane-local positions.
+  /// Stream position: the summed lane-local positions (lane 0's alone is
+  /// the plain sequence of a one-lane stream).
   uint64_t repl_position() const;
   std::vector<uint64_t> current_lane_seqs() const;
 
@@ -436,8 +472,10 @@ class server {
   uint32_t stw_parked_ = 0;  ///< guarded by stw_mu_
   uint32_t stw_exited_ = 0;  ///< guarded by stw_mu_
   bool in_stw_ = false;      ///< reactor-0-thread flag
+  std::atomic<uint64_t> stw_pauses_{0};  ///< barriers raised
+  obs::latency_histogram stw_pause_ns_;  ///< park request → release
 
-  // Subscriber registry (nr_ > 1): shared across reactors so any lane's
+  // Subscriber registry: shared across reactors so any lane's
   // replicate() can fan out.  The vector is guarded by subs_mu_; each
   // entry's ack state is atomic (written by the subscriber's owning
   // reactor, read by gating reactors).
@@ -459,7 +497,6 @@ class server {
   std::atomic<uint64_t> bytes_in_{0};
   std::atomic<uint64_t> bytes_out_{0};
 
-  std::atomic<uint64_t> repl_seq_{0};
   std::atomic<uint64_t> subscribers_{0};
   std::atomic<uint64_t> frames_forwarded_{0};
   std::atomic<uint64_t> subscriber_drops_{0};

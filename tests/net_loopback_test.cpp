@@ -8,12 +8,22 @@
 //   * hostile connections against a *live* server — garbage bytes,
 //     truncated frames, oversized declared lengths — which must be
 //     rejected (connection dropped, protocol_errors counted) while the
-//     server keeps serving everyone else.
+//     server keeps serving everyone else;
+//   * an apply failure (the WAL cannot roll a segment) answered in-band
+//     while the connection and the server keep serving — on a primary, and
+//     on a replica whose WAL refuses a feed frame (the frame is applied
+//     all the same, so the replica answers every acknowledged key);
+//   * sequence accounting of empty mutations and ranged MAINTAIN frames.
+// Every case runs at 1 and at 4 reactors over 8 shards: one frame path
+// serves both, and at 4 reactors connections are handed off to other
+// loops and batches split across shard owners.
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <functional>
 #include <span>
 #include <string>
 #include <thread>
@@ -21,8 +31,10 @@
 
 #include "net/client.h"
 #include "net/codec.h"
+#include "net/replication.h"
 #include "net/server.h"
 #include "net/socket.h"
+#include "persist/durability.h"
 #include "store/store.h"
 #include "store/store_io.h"
 #include "util/xorwow.h"
@@ -35,43 +47,85 @@ namespace {
 store::store_config small_config(store::backend_kind backend) {
   store::store_config cfg;
   cfg.backend = backend;
-  cfg.num_shards = 4;
+  cfg.num_shards = 8;
   cfg.capacity = 1 << 16;
   return cfg;
 }
 
-/// A server on an ephemeral loopback port with its event loop on a
+/// A server on an ephemeral loopback port with its event loops on a
 /// background thread; joins cleanly on destruction.
 struct live_server {
   net::server srv;
   std::thread loop;
 
-  explicit live_server(store::filter_store st,
-                       const std::string& snapshot_path = "")
-      : srv(make_config(snapshot_path), std::move(st)),
-        loop([this] { srv.run(); }) {}
+  live_server(store::filter_store st, net::server_config cfg)
+      : srv(std::move(cfg), std::move(st)), loop([this] { srv.run(); }) {}
+  /// Replica form: adopt the SYNC feed before the loops start.
+  live_server(net::sync_result&& sr, net::server_config cfg)
+      : srv(std::move(cfg), std::move(sr.store)) {
+    srv.attach_feed(std::move(sr.feed), std::move(sr.dec),
+                    std::span<const uint64_t>(sr.lane_seqs));
+    loop = std::thread([this] { srv.run(); });
+  }
   ~live_server() {
     srv.request_stop();
     loop.join();
   }
 
-  static net::server_config make_config(const std::string& snapshot_path) {
+  net::client connect() { return net::client("127.0.0.1", srv.port()); }
+};
+
+bool wait_until(const std::function<bool()>& pred, int timeout_ms = 15000) {
+  for (int waited = 0; waited < timeout_ms; waited += 2) {
+    if (pred()) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  return pred();
+}
+
+/// A WAL whose segments roll every 4 KiB and that never checkpoints: once
+/// its directory is removed, the next roll throws mid-append.
+persist::wal_config rolling_wal(const std::string& dir) {
+  persist::wal_config wcfg;
+  wcfg.dir = dir;
+  wcfg.fsync = persist::fsync_policy::none;
+  wcfg.segment_bytes = 4096;                      // rolls within a batch or two
+  wcfg.checkpoint_every_bytes = size_t{1} << 40;  // never a checkpoint
+  return wcfg;
+}
+
+std::string wal_dir(const std::string& tag, uint32_t reactors) {
+  std::string dir = std::string(::testing::TempDir()) + "gf_loopback_" + tag +
+                    "_r" + std::to_string(reactors) + "_" +
+                    std::to_string(::getpid());
+  std::filesystem::remove_all(dir);
+  return dir;
+}
+
+/// Parameter: the server's reactor count.
+class NetLoopback : public ::testing::TestWithParam<uint32_t> {
+ protected:
+  net::server_config config(const std::string& snapshot_path = "") const {
     net::server_config cfg;
+    cfg.reactors = GetParam();
     cfg.snapshot_path = snapshot_path;
     return cfg;
   }
-
-  net::client connect() { return net::client("127.0.0.1", srv.port()); }
 };
 
 }  // namespace
 
-TEST(NetLoopback, InsertQueryEquivalence) {
+INSTANTIATE_TEST_SUITE_P(Reactors, NetLoopback, ::testing::Values(1u, 4u),
+                         [](const ::testing::TestParamInfo<uint32_t>& i) {
+                           return "r" + std::to_string(i.param);
+                         });
+
+TEST_P(NetLoopback, InsertQueryEquivalence) {
   for (auto backend :
        {store::backend_kind::tcf, store::backend_kind::gqf,
         store::backend_kind::blocked_bloom, store::backend_kind::bulk_tcf}) {
     auto cfg = small_config(backend);
-    live_server ls{store::filter_store(cfg)};
+    live_server ls{store::filter_store(cfg), config()};
     store::filter_store direct(cfg);
     auto cli = ls.connect();
 
@@ -103,9 +157,9 @@ TEST(NetLoopback, InsertQueryEquivalence) {
   }
 }
 
-TEST(NetLoopback, EraseAndCountEquivalence) {
+TEST_P(NetLoopback, EraseAndCountEquivalence) {
   auto cfg = small_config(store::backend_kind::gqf);
-  live_server ls{store::filter_store(cfg)};
+  live_server ls{store::filter_store(cfg), config()};
   store::filter_store direct(cfg);
   auto cli = ls.connect();
 
@@ -140,9 +194,9 @@ TEST(NetLoopback, EraseAndCountEquivalence) {
     EXPECT_EQ(cli.counts(probe.subspan(i, 1))[0], direct.count(probe[i]));
 }
 
-TEST(NetLoopback, PipelinedResponsesMatchBySequence) {
+TEST_P(NetLoopback, PipelinedResponsesMatchBySequence) {
   auto cfg = small_config(store::backend_kind::tcf);
-  live_server ls{store::filter_store(cfg)};
+  live_server ls{store::filter_store(cfg), config()};
   auto cli = ls.connect();
 
   // Launch a window of distinct batches, then collect in *reverse* order:
@@ -163,9 +217,9 @@ TEST(NetLoopback, PipelinedResponsesMatchBySequence) {
   EXPECT_EQ(total_ok, ls.srv.store().size());
 }
 
-TEST(NetLoopback, StatsMaintainAndPing) {
+TEST_P(NetLoopback, StatsMaintainAndPing) {
   auto cfg = small_config(store::backend_kind::tcf);
-  live_server ls{store::filter_store(cfg)};
+  live_server ls{store::filter_store(cfg), config()};
   auto cli = ls.connect();
   cli.ping();
 
@@ -183,7 +237,7 @@ TEST(NetLoopback, StatsMaintainAndPing) {
   EXPECT_EQ(m.total_levels, cfg.num_shards);
 }
 
-TEST(NetLoopback, SnapshotRestartCycle) {
+TEST_P(NetLoopback, SnapshotRestartCycle) {
   const std::string path = "/tmp/gf_net_loopback_snapshot.gfs";
   std::remove(path.c_str());
   auto cfg = small_config(store::backend_kind::tcf);
@@ -191,7 +245,7 @@ TEST(NetLoopback, SnapshotRestartCycle) {
   std::vector<uint64_t> pre_restart_bitmap;
 
   {
-    live_server ls{store::filter_store(cfg), path};
+    live_server ls{store::filter_store(cfg), config(path)};
     auto cli = ls.connect();
     cli.insert(keys);
     uint64_t bytes = cli.snapshot();
@@ -203,7 +257,7 @@ TEST(NetLoopback, SnapshotRestartCycle) {
   // A restarted server loads the snapshot, exactly like store_server
   // --snapshot does on boot, and must give bit-identical answers.
   {
-    live_server ls{store::load_store(path)};
+    live_server ls{store::load_store(path), config()};
     auto cli = ls.connect();
     EXPECT_EQ(ls.srv.store().size(), store::load_store(path).size());
     auto bitmap = cli.query_bitmap(keys);
@@ -216,16 +270,18 @@ TEST(NetLoopback, SnapshotRestartCycle) {
   std::remove(path.c_str());
 }
 
-TEST(NetLoopback, SnapshotWithoutPathIsUnsupported) {
-  live_server ls{store::filter_store(small_config(store::backend_kind::tcf))};
+TEST_P(NetLoopback, SnapshotWithoutPathIsUnsupported) {
+  live_server ls{store::filter_store(small_config(store::backend_kind::tcf)),
+                 config()};
   auto cli = ls.connect();
   EXPECT_THROW(cli.snapshot(), std::runtime_error);
   // The error response is in-band: the connection survives it.
   cli.ping();
 }
 
-TEST(NetLoopback, GarbageConnectionIsRejectedServerSurvives) {
-  live_server ls{store::filter_store(small_config(store::backend_kind::tcf))};
+TEST_P(NetLoopback, GarbageConnectionIsRejectedServerSurvives) {
+  live_server ls{store::filter_store(small_config(store::backend_kind::tcf)),
+                 config()};
 
   // Raw garbage bytes: the decoder poisons, the server drops the
   // connection and counts a protocol error.
@@ -289,14 +345,14 @@ TEST(NetLoopback, GarbageConnectionIsRejectedServerSurvives) {
   EXPECT_GE(stats.protocol_errors, 4u);
 }
 
-TEST(NetLoopback, ServerRunsMaintenanceUnderSkewedWireTraffic) {
+TEST_P(NetLoopback, ServerRunsMaintenanceUnderSkewedWireTraffic) {
   // A store flooded past nominal capacity over the wire must grow
   // overflow cascades on its own — no client ever sends MAINTAIN.
   store::store_config cfg;
   cfg.backend = store::backend_kind::tcf;
-  cfg.num_shards = 2;
+  cfg.num_shards = 8;
   cfg.capacity = 1 << 12;
-  net::server_config scfg;
+  net::server_config scfg = config();
   scfg.maintain_every = 4;  // tight cadence so a small flood triggers it
   net::server srv(scfg, store::filter_store(cfg));
   std::thread loop([&] { srv.run(); });
@@ -314,12 +370,12 @@ TEST(NetLoopback, ServerRunsMaintenanceUnderSkewedWireTraffic) {
   loop.join();
 }
 
-TEST(NetLoopback, ResponseBackpressureBoundsServerMemory) {
+TEST_P(NetLoopback, ResponseBackpressureBoundsServerMemory) {
   // A peer that pipelines requests but never reads responses must stall
   // (server stops reading past the queued-response cap) while other
   // clients keep being served.
   store::store_config cfg = small_config(store::backend_kind::tcf);
-  net::server_config scfg;
+  net::server_config scfg = config();
   scfg.max_queued_response_bytes = 1 << 16;  // tiny cap to hit it fast
   net::server srv(scfg, store::filter_store(cfg));
   std::thread loop([&] { srv.run(); });
@@ -347,8 +403,9 @@ TEST(NetLoopback, ResponseBackpressureBoundsServerMemory) {
   loop.join();
 }
 
-TEST(NetLoopback, MalformedFrameFuzzServerNeverDies) {
-  live_server ls{store::filter_store(small_config(store::backend_kind::tcf))};
+TEST_P(NetLoopback, MalformedFrameFuzzServerNeverDies) {
+  live_server ls{store::filter_store(small_config(store::backend_kind::tcf)),
+                 config()};
   util::xorwow rng(71);
   auto keys = util::hashed_xorwow_items(256, 72);
   auto valid = net::encode_keys_request(net::opcode::query, 1, keys);
@@ -375,4 +432,184 @@ TEST(NetLoopback, MalformedFrameFuzzServerNeverDies) {
   uint64_t hits = 0;
   cli.query_bitmap(keys, &hits);
   SUCCEED();
+}
+
+TEST_P(NetLoopback, ApplyFailureIsAnsweredInBandServerSurvives) {
+  // A WAL whose directory vanished under it: appends go on into the open
+  // segment until it must roll, then creating the next segment throws
+  // ("cannot create WAL segment") mid-apply, on whichever reactor owns the
+  // part.  The batch is answered with an in-band error; the connection,
+  // the loops and every other connection keep serving.
+  const std::string dir = wal_dir("wal", GetParam());
+  persist::durability_engine eng(rolling_wal(dir));
+  const auto cfg = small_config(store::backend_kind::tcf);
+  auto st = eng.recover([&] {
+    return std::pair<store::filter_store, uint64_t>(store::filter_store(cfg),
+                                                    0);
+  });
+  net::server_config scfg = config();
+  scfg.durability = &eng;
+  live_server ls{std::move(st), scfg};
+  auto cli = ls.connect();
+
+  auto keys = util::hashed_xorwow_items(16 * 1024, 91);
+  std::span<const uint64_t> span(keys);
+  EXPECT_EQ(cli.insert(span.subspan(0, 256)).ok, 256u);  // the WAL works
+  std::filesystem::remove_all(dir);
+  std::string error;
+  for (size_t lo = 256; lo + 1024 <= keys.size() && error.empty();
+       lo += 1024) {
+    try {
+      cli.insert(span.subspan(lo, 1024));
+    } catch (const std::runtime_error& e) {
+      error = e.what();
+    }
+  }
+  EXPECT_NE(error.find("gf: server error"), std::string::npos) << error;
+  EXPECT_NE(error.find("cannot create WAL segment"), std::string::npos)
+      << error;
+
+  // The same connection is still served, and so is a fresh one.
+  cli.ping();
+  auto other = ls.connect();
+  other.ping();
+  uint64_t hits = 0;
+  other.query_bitmap(span.subspan(0, 256), &hits);
+  EXPECT_EQ(hits, 256u);
+  EXPECT_EQ(ls.srv.stats().protocol_errors, 0u);
+}
+
+TEST_P(NetLoopback, FeedFrameTheWalRefusesIsStillApplied) {
+  // The replica's WAL directory vanishes; a feed frame whose append must
+  // roll a segment cannot be logged.  The replica answers the primary with
+  // an in-band error (counted as a subscriber error) but applies the frame
+  // all the same: its lane position already counts it, so skipping it
+  // would leave a hole no resync replays, and the replica would answer
+  // false negatives for keys the primary acknowledged.
+  const auto cfg = small_config(store::backend_kind::tcf);
+  live_server primary{store::filter_store(cfg), config()};
+  auto cli = primary.connect();
+  auto keys = util::hashed_xorwow_items(16 * 1024, 93);
+  std::span<const uint64_t> span(keys);
+  cli.insert(span.subspan(0, 256));
+
+  const std::string dir = wal_dir("feed_wal", GetParam());
+  persist::durability_engine eng(rolling_wal(dir));
+  auto sr = net::sync_from("127.0.0.1", primary.srv.port());
+  eng.reset(sr.store, std::span<const uint64_t>(sr.lane_seqs));
+  net::server_config rcfg = config();
+  rcfg.read_only = true;
+  rcfg.durability = &eng;
+  live_server replica{std::move(sr), rcfg};
+
+  cli.insert(span.subspan(256, 256));  // the WAL works
+  // Acked means logged and applied: no append is still writing into the
+  // directory about to be removed.
+  ASSERT_TRUE(wait_until([&] {
+    const auto ps = primary.srv.stats();
+    return ps.subscriber_acked == ps.repl_seq;
+  }));
+  EXPECT_EQ(primary.srv.stats().subscriber_errors, 0u);
+  std::filesystem::remove_all(dir);
+  for (size_t lo = 512; lo < keys.size(); lo += 1024)
+    cli.insert(span.subspan(lo, std::min<size_t>(1024, keys.size() - lo)));
+  EXPECT_TRUE(wait_until(
+      [&] { return primary.srv.stats().subscriber_errors > 0; }))
+      << "no feed frame hit the removed WAL directory";
+
+  // Every key the primary acknowledged reaches the replica, which still
+  // follows its feed and serves reads.
+  auto reader = replica.connect();
+  reader.ping();
+  uint64_t hits = 0;
+  EXPECT_TRUE(wait_until([&] {
+    reader.query_bitmap(span, &hits);
+    return hits == keys.size();
+  })) << hits << " of " << keys.size() << " keys on the replica";
+  const auto rs = replica.srv.stats();
+  EXPECT_EQ(rs.feed_attached, 1u);
+  EXPECT_EQ(rs.feed_gaps, 0u);
+  EXPECT_EQ(rs.protocol_errors, 0u);
+}
+
+TEST_P(NetLoopback, EmptyMutationTakesNoSequence) {
+  // An empty INSERT/ERASE changes nothing, so it is answered without a
+  // stream sequence: no WAL frame, no subscriber copy.
+  const std::string dir = wal_dir("empty", GetParam());
+  persist::durability_engine eng(rolling_wal(dir));
+  const auto cfg = small_config(store::backend_kind::gqf);
+  auto st = eng.recover([&] {
+    return std::pair<store::filter_store, uint64_t>(store::filter_store(cfg),
+                                                    0);
+  });
+  net::server_config scfg = config();
+  scfg.durability = &eng;
+  live_server ls{std::move(st), scfg};
+  auto cli = ls.connect();
+
+  // The WAL position as the server reports it (rendered on its loop).
+  auto wal_last_seq = [&] {
+    const std::string json = cli.stats_json();
+    const std::string field = "\"wal_last_seq\":";
+    const size_t at = json.find(field);
+    EXPECT_NE(at, std::string::npos);
+    return at == std::string::npos
+               ? uint64_t{0}
+               : std::stoull(json.substr(at + field.size()));
+  };
+
+  auto keys = util::hashed_xorwow_items(256, 95);
+  EXPECT_EQ(cli.insert(keys).ok, keys.size());
+  const uint64_t seq = ls.srv.stats().repl_seq;
+  const uint64_t wal_seq = wal_last_seq();
+  EXPECT_EQ(wal_seq, seq);
+  EXPECT_GT(seq, 0u);
+
+  const std::vector<uint64_t> none;
+  const auto ins = cli.insert(none);
+  EXPECT_EQ(ins.ok, 0u);
+  EXPECT_EQ(ins.failed, 0u);
+  EXPECT_EQ(cli.erase(none).ok, 0u);
+  EXPECT_EQ(ls.srv.stats().repl_seq, seq);
+  EXPECT_EQ(wal_last_seq(), wal_seq);
+
+  // A one-key insert lands on one reactor: exactly one new sequence.
+  EXPECT_EQ(cli.insert(util::hashed_xorwow_items(1, 96)).ok, 1u);
+  EXPECT_EQ(ls.srv.stats().repl_seq, seq + 1);
+  EXPECT_EQ(wal_last_seq(), wal_seq + 1);
+  std::filesystem::remove_all(dir);
+}
+
+TEST_P(NetLoopback, RangedMaintainGrowsOnlyItsRange) {
+  // A MAINTAIN carrying {u32 begin, u32 end} maintains shards [begin, end)
+  // only, and is replicated as one ranged frame per reactor slice it
+  // touches.  With 8 shards, 4 reactors own two shards each: [2, 5) spans
+  // reactors 1 and 2; one reactor owns all of it.
+  live_server ls{store::filter_store(small_config(store::backend_kind::tcf)),
+                 config()};
+  const uint64_t seq = ls.srv.stats().repl_seq;
+  net::frame req;
+  req.op = net::opcode::maintain;
+  req.sequence = 5;
+  net::put_u32(req.payload, 2);
+  net::put_u32(req.payload, 5);
+  const auto bytes = net::encode_frame(req);
+  net::socket_fd raw = net::tcp_connect("127.0.0.1", ls.srv.port());
+  ASSERT_TRUE(net::send_all(raw.get(), bytes.data(), bytes.size()));
+  net::frame_decoder dec;
+  uint8_t buf[256];
+  net::frame f;
+  for (;;) {
+    ssize_t n = ::recv(raw.get(), buf, sizeof(buf), 0);
+    ASSERT_GT(n, 0);
+    dec.feed(buf, static_cast<size_t>(n));
+    if (dec.next(f) == net::decode_status::ok) break;
+  }
+  ASSERT_EQ(f.status, net::wire_status::ok);
+  EXPECT_EQ(f.sequence, 5u);
+  const auto m = net::decode_maintain_response(f);
+  EXPECT_EQ(m.shards_grown, 0u);
+  EXPECT_EQ(m.max_depth, 1u);
+  EXPECT_EQ(m.total_levels, 3u);  // one level per maintained shard
+  EXPECT_EQ(ls.srv.stats().repl_seq, seq + (GetParam() == 1 ? 1 : 2));
 }

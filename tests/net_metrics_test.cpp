@@ -104,7 +104,8 @@ TEST(NetMetrics, ExpositionSchemaAndStageHistograms) {
         "gf_repl_ack_degraded_total", "gf_repl_replay_ring_bytes",
         "gf_repl_replay_ring_frames",
         "gf_wire_latency_ns", "gf_wire_stage_ns", "gf_store_maintain_ns",
-        "gf_store_bulk_shard_ns", "gf_pool_launches_total"}) {
+        "gf_store_bulk_shard_ns", "gf_pool_launches_total",
+        "gf_stw_pauses_total", "gf_stw_pause_ns"}) {
     EXPECT_TRUE(has_line(text, std::string("\n") + name) ||
                 text.rfind(name, 0) == 0)
         << "missing metric family: " << name;
@@ -143,6 +144,13 @@ TEST(NetMetrics, ExpositionSchemaAndStageHistograms) {
   // frames_served but records its stages only after rendering.
   EXPECT_GE(scrape(text, "gf_wire_stage_ns_count{stage=\"apply\"}"),
             frames - 1);
+
+  // Every control op runs under the stop-the-world barrier, at one reactor
+  // too: the workload's MAINTAIN (and any STATS before this scrape) paused
+  // it, each pause counted once and timed once.
+  const uint64_t pauses = scrape(text, "gf_stw_pauses_total");
+  EXPECT_GT(pauses, 0u);
+  EXPECT_EQ(scrape(text, "gf_stw_pause_ns_count"), pauses);
 
   // Store-side observability filled in by the workload.
   EXPECT_GT(scrape(text, "gf_store_inserts_total"), 0u);
@@ -258,18 +266,25 @@ TEST(NetMetrics, MultiReactorScrapeUnderFloodIsConsistent) {
 
   {
     net::client scraper("127.0.0.1", srv.port());
-    uint64_t last_frames = 0, last_keys = 0, last_inserts = 0;
+    uint64_t last_frames = 0, last_keys = 0, last_inserts = 0, last_pauses = 0;
     for (int i = 0; i < 25; ++i) {
       const std::string text = scraper.metrics_text();
       const uint64_t frames = scrape(text, "gf_server_frames_total");
       const uint64_t keys = scrape(text, "gf_server_keys_total");
       const uint64_t inserts = scrape(text, "gf_store_inserts_total");
+      const uint64_t pauses = scrape(text, "gf_stw_pauses_total");
       EXPECT_GE(frames, last_frames) << "frames_total went backwards";
       EXPECT_GE(keys, last_keys) << "keys_total went backwards";
       EXPECT_GE(inserts, last_inserts) << "store inserts went backwards";
+      // Each scrape is a barrier, counted once it releases: the previous
+      // scrape's pause shows in this one.
+      if (i > 0) {
+        EXPECT_GT(pauses, last_pauses) << "a scrape paused uncounted";
+      }
       last_frames = frames;
       last_keys = keys;
       last_inserts = inserts;
+      last_pauses = pauses;
       // Per-reactor gauges exist and lane labels appear at nr > 1.
       EXPECT_TRUE(has_line(text, "gf_reactor_connections{reactor=\"0\"}"));
       EXPECT_TRUE(has_line(text, "gf_reactor_connections{reactor=\"3\"}"));

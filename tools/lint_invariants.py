@@ -24,6 +24,14 @@ Checks enforced:
    SPSC ring.  The mailboxes are lock-free only under that ownership
    discipline, so every site states whose lane it runs on.
 
+4. one-frame-path: no reactor-count comparison against one in src/net/ —
+   `nr_` (or `reactors_.size()`) compared with 1 by any operator, or with 2
+   by `<` / `>=` (the same test spelled differently).  Every frame takes
+   the reactor path at any N; a one-reactor branch is how the duplicated
+   single-loop server grew.  The only sanctioned sites keep the
+   one-reactor metrics schema, and each carries an "exposition:" comment
+   (same line or above, like the relaxed rule).
+
 Exit status: 0 clean, 1 violations (printed one per line as
 file:line: message).
 """
@@ -47,6 +55,12 @@ CHECK_RE = re.compile(r"check_batch_size\s*\(")
 MAILBOX_OP_RE = re.compile(r"inbox\w*\s*\[[^\]]*\]\s*->\s*push\s*\(|\btry_pop\s*\(")
 MAILBOX_DEFN_RE = re.compile(r"^\s*(?:\[\[nodiscard\]\]\s*)?(?:bool|void)\s+\w+\s*\(")
 LANE_RE = re.compile(r"lane:")
+_COUNT = r"(?:\bnr_\b|\breactors_\.size\(\))"
+_CMP = r"(?:==|!=|<=|>=|<|>)"
+REACTOR_COUNT_RE = re.compile(
+    rf"{_COUNT}\s*{_CMP}\s*1\b|\b1\s*{_CMP}\s*{_COUNT}"
+    rf"|{_COUNT}\s*(?:<|>=)\s*2\b|\b2\s*(?:>|<=)\s*{_COUNT}")
+EXPOSITION_RE = re.compile(r"exposition:")
 # A new function starts at an unindented definition line ("inline ...",
 # "class ...", templates, etc.) — good enough to scope the codec check.
 FUNC_START_RE = re.compile(r"^[a-zA-Z/]")
@@ -88,6 +102,21 @@ def check_mailbox_ownership(path: Path, lines: list[str],
         )
 
 
+def check_one_frame_path(path: Path, lines: list[str],
+                         errors: list[str]) -> None:
+    for i, line in enumerate(lines):
+        if not REACTOR_COUNT_RE.search(line.split("//", 1)[0]):
+            continue
+        window = lines[max(0, i - LOOKBACK_LINES):i + 1]
+        if any(EXPOSITION_RE.search(w) for w in window):
+            continue
+        errors.append(
+            f"{path.relative_to(REPO)}:{i + 1}: reactor-count comparison "
+            f"against one outside an \"exposition:\"-tagged site (one frame "
+            f"path serves every reactor count)"
+        )
+
+
 def check_codec_narrowing(path: Path, lines: list[str],
                           errors: list[str]) -> None:
     func_start = 0
@@ -113,6 +142,8 @@ def main() -> int:
         lines = path.read_text(encoding="utf-8").splitlines()
         check_relaxed(path, lines, errors)
         check_mailbox_ownership(path, lines, errors)
+        if path.parent == REPO / "src" / "net":
+            check_one_frame_path(path, lines, errors)
 
     codec = REPO / "src" / "net" / "codec.h"
     check_codec_narrowing(codec, codec.read_text(encoding="utf-8").splitlines(),
