@@ -2,11 +2,12 @@
 
 #include <sys/socket.h>
 
-#include <bit>
 #include <cerrno>
 #include <cstring>
 #include <stdexcept>
 #include <utility>
+
+#include "util/bits.h"
 
 namespace gf::net {
 
@@ -142,7 +143,7 @@ std::vector<uint64_t> client::query_bitmap(std::span<const uint64_t> keys,
   std::vector<uint64_t> words = decode_bitmap(f);
   if (hits) {
     uint64_t h = 0;
-    for (uint64_t w : words) h += static_cast<uint64_t>(std::popcount(w));
+    for (uint64_t w : words) h += static_cast<uint64_t>(util::popcount(w));
     *hits = h;
   }
   return words;

@@ -142,9 +142,9 @@ class tcf {
   bool contains(uint64_t key) const {
     const hashed h = hash_key(key);
     GF_COUNT(cache_lines_touched, 1);
-    if (block_find(blocks_[h.b1], h.fp) >= 0) return true;
+    if (block_find<ValBits>(blocks_[h.b1], h.fp) >= 0) return true;
     GF_COUNT(cache_lines_touched, 1);
-    if (block_find(blocks_[h.b2], h.fp) >= 0) return true;
+    if (block_find<ValBits>(blocks_[h.b2], h.fp) >= 0) return true;
     if (!cfg_.enable_backing) return false;
     return backing_.contains(h.h1, h.h2, h.fp, ValBits);
   }
@@ -156,7 +156,7 @@ class tcf {
   {
     const hashed h = hash_key(key);
     for (uint64_t b : {h.b1, h.b2}) {
-      int slot = block_find(blocks_[b], h.fp);
+      int slot = block_find<ValBits>(blocks_[b], h.fp);
       if (slot >= 0)
         return static_cast<uint16_t>(blocks_[b].load(slot) & val_mask());
     }
@@ -172,7 +172,7 @@ class tcf {
       // operation completed (lock-free progress), most often a neighbor-
       // slot write invalidating the packed-12 word.
       for (;;) {
-        int slot = block_find(blk, h.fp);
+        int slot = block_find<ValBits>(blk, h.fp);
         if (slot < 0) break;
         uint16_t observed = blk.load(static_cast<unsigned>(slot));
         if (static_cast<uint16_t>(observed >> ValBits) == h.fp &&
@@ -484,17 +484,6 @@ class tcf {
       }
     }
     return false;  // no slots were available (Algorithm 1 line 17)
-  }
-
-  /// Scan a block for a fingerprint; returns the slot index or -1.
-  int block_find(const block_type& blk, uint16_t fp) const {
-    for (unsigned i = 0; i < NumSlots; ++i) {
-      uint16_t v = blk.load(i);
-      if (block_type::is_empty(v)) continue;
-      if (block_type::is_tombstone(v)) continue;
-      if (static_cast<uint16_t>(v >> ValBits) == fp) return static_cast<int>(i);
-    }
-    return -1;
   }
 
   /// Below this batch size the block sort costs more than the locality it

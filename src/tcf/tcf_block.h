@@ -18,6 +18,26 @@
 //   is_empty/is_tombstone   -> slot-state predicates on a loaded value
 //   try_claim(i, state, fp) -> claim an empty/tombstone slot for fp
 //   try_delete(i, fp)       -> tombstone a slot believed to hold fp
+// and the whole-block scans block_find (first slot holding a fingerprint)
+// and block_fill (occupied-slot count).
+//
+// Word reads (aligned layout, little-endian hosts, blocks a whole number
+// of 64-bit words: tcf<8,8>, tcf<16,16>, point_tcf, kv_tcf): block_find
+// reads the block as 64-bit words, each one acquire atomic load through an
+// alignas(8) slot array and a may_alias word type, so a 16-bit x 32-slot
+// block is 8 loads instead of 32.  Slot w * lanes + j is lane j of word w.
+// One SWAR zero-lane test then checks every lane of the word at once (the
+// CPU form of Algorithm 1's cooperative-group ballot).  On a block no one
+// is writing it answers exactly as the per-slot loop does; under
+// concurrent writers a word load sees its lanes at one instant, where the
+// loop saw each slot at its own.  block_fill stays per slot: a word-wide
+// fill (free-lane flags summed by a multiply) answered alike but made
+// point inserts at 2/3 load about 30% slower on a 4-core Xeon guest, g++ 12
+// (85 -> 110-130 ns/key, 2.8M keys into 2^22 slots), while lookups got
+// faster.  Claims and deletes stay per-slot CASes, so the table bytes,
+// snapshots and the WAL are the same.  The packed-12 layout, and blocks
+// that are not whole words (the alignment would pad them), keep the
+// per-slot find.
 //
 // Packed-12 concurrency protocol: the low nibble of a slot encodes its
 // state (0 empty, 1 tombstone, >=2 occupied; tcf_params.h remaps
@@ -31,6 +51,7 @@
 // results.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <type_traits>
 
@@ -50,13 +71,30 @@ struct tcf_block_aligned {
   static constexpr unsigned kSlots = NumSlots;
   static constexpr unsigned kFpBits = FpBits;
   static constexpr bool kNeedsNonzeroNibble = false;
+  /// block_find reads whole 64-bit words (see the header).  Only for
+  /// blocks that are whole words, so the alignment below never pads one.
+  static constexpr bool kWordScan =
+      std::endian::native == std::endian::little &&
+      NumSlots * sizeof(storage_type) % 8 == 0;
+  static constexpr unsigned kLanes = 64 / FpBits;
+  static constexpr unsigned kWords = NumSlots / kLanes;
 
-  storage_type slots[NumSlots] = {};
+  alignas(kWordScan ? 8 : alignof(storage_type))
+      storage_type slots[NumSlots] = {};
 
   static constexpr bool is_empty(uint16_t v) { return v == kEmpty; }
   static constexpr bool is_tombstone(uint16_t v) { return v == kTombstone; }
 
   uint16_t load(unsigned i) const { return gpu::atomic_load(&slots[i]); }
+
+  /// Slots [w * kLanes, (w + 1) * kLanes), the first in the low lane.
+  uint64_t load_word(unsigned w) const
+    requires kWordScan
+  {
+    using word [[gnu::may_alias]] = uint64_t;
+    return __atomic_load_n(reinterpret_cast<const word*>(slots) + w,
+                           __ATOMIC_ACQUIRE);
+  }
 
   bool try_claim(unsigned i, uint16_t observed_state, uint16_t fp) {
     GF_COUNT(cas_attempts, 1);
@@ -83,6 +121,7 @@ struct tcf_block_packed12 {
   static constexpr unsigned kSlots = NumSlots;
   static constexpr unsigned kFpBits = 12;
   static constexpr bool kNeedsNonzeroNibble = true;
+  static constexpr bool kWordScan = false;
   static constexpr unsigned kWords = (NumSlots * 12 + 31) / 32;
 
   uint32_t words[kWords] = {};
@@ -197,8 +236,63 @@ struct tcf_block_selector<12, NumSlots> {
 template <unsigned FpBits, unsigned NumSlots>
 using tcf_block = typename tcf_block_selector<FpBits, NumSlots>::type;
 
+namespace detail {
+
+/// `v` in every Bits-wide lane of a word.
+template <unsigned Bits>
+constexpr uint64_t lanes(uint64_t v) {
+  return ~uint64_t{0} / ((uint64_t{1} << Bits) - 1) * v;
+}
+
+/// The high bit of every Bits-wide lane of `x` that is zero, and nothing
+/// else.  Exact: (x & low) + low never carries out of its lane.
+template <unsigned Bits>
+constexpr uint64_t zero_lanes(uint64_t x) {
+  constexpr uint64_t low = lanes<Bits>((uint64_t{1} << (Bits - 1)) - 1);
+  return ~(((x & low) + low) | x | low);
+}
+
+/// Per-slot find: the packed-12 path, and the reference the word scan is
+/// tested against.
+template <unsigned ValBits, class Block>
+int block_find_slots(const Block& b, uint16_t fp) {
+  for (unsigned i = 0; i < Block::kSlots; ++i) {
+    uint16_t v = b.load(i);
+    if (Block::is_empty(v) || Block::is_tombstone(v)) continue;
+    if (static_cast<uint16_t>(v >> ValBits) == fp) return static_cast<int>(i);
+  }
+  return -1;
+}
+
+}  // namespace detail
+
+/// First slot whose bits above its `ValBits` value bits equal `fp`, or -1.
+/// `fp` is never a sentinel: every slot it matches exceeds kTombstone
+/// (tcf::hash_key remaps it so), so a word match needs no state test.
+template <unsigned ValBits, class Block>
+int block_find(const Block& b, uint16_t fp) {
+  if constexpr (Block::kWordScan) {
+    constexpr unsigned kBits = Block::kFpBits;
+    constexpr uint64_t key_bits =
+        detail::lanes<kBits>(((1u << kBits) - 1) & ~((1u << ValBits) - 1));
+    const uint64_t want = detail::lanes<kBits>(uint64_t{fp} << ValBits);
+    for (unsigned w = 0; w < Block::kWords; ++w) {
+      uint64_t hit =
+          detail::zero_lanes<kBits>((b.load_word(w) ^ want) & key_bits);
+      if (hit)
+        return static_cast<int>(w * Block::kLanes +
+                                std::countr_zero(hit) / kBits);
+    }
+    return -1;
+  } else {
+    return detail::block_find_slots<ValBits>(b, fp);
+  }
+}
+
 /// Occupied-slot count ("fill"), used for the POTC choice and the shortcut
-/// cutoff.  Tombstones count as free space.
+/// cutoff.  Tombstones count as free space.  Per slot even where block_find
+/// reads words: a word-wide fill made inserts at 2/3 load slower (see the
+/// header).
 template <class Block>
 unsigned block_fill(const Block& b) {
   unsigned fill = 0;

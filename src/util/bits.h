@@ -2,14 +2,19 @@
 //
 // The quotient-filter family (GQF, SQF, RSQF) relies on word-level rank and
 // select over the occupieds/runends bitvectors; the TCF relies on ballot
-// masks and find-first-set.  Everything here is branch-light and maps to
-// single instructions on x86-64 (POPCNT, TZCNT, PDEP where available).
+// masks and find-first-set.  Everything here is branch-light.  The default
+// build sets no -march, so std::popcount is a libgcc call, not POPCNT.
+// select64 is the one primitive chosen at run time: on x86-64 it takes BMI2
+// PDEP when the CPU has it (checked once per process), else the portable
+// byte loop, so the fast select needs no flag and the binary still runs on
+// CPUs without BMI2.  This header is the only place in src/ that spells a
+// popcount builtin or a BMI2 intrinsic (tools/lint_invariants.py check 5).
 #pragma once
 
 #include <bit>
 #include <cstdint>
 
-#if defined(__BMI2__)
+#if defined(__x86_64__)
 #include <immintrin.h>
 #endif
 
@@ -64,18 +69,37 @@ inline int select64_portable(uint64_t x, int k) {
   }
   return 64;
 }
+
+#if defined(__x86_64__)
+// PDEP select (the "fast x86 select" of Pandey et al., arXiv:1706.00990):
+// deposit bit k into the set-bit positions of x; the result's lowest set
+// bit is the answer.  Compiled for BMI2 on its own, so it is only called
+// after has_bmi2 says the CPU can run it.  k >= 64 answers 64 like the
+// portable path (1 << k would be undefined there).
+[[gnu::target("bmi2")]] inline int select64_pdep(uint64_t x, int k) {
+  if (k >= 64) return 64;
+  uint64_t spread = _pdep_u64(uint64_t{1} << k, x);
+  return spread == 0 ? 64 : std::countr_zero(spread);
+}
+
+/// Decided once, before main.  A select64 that runs during another
+/// translation unit's static initialisation, before this is set, reads the
+/// zero-initialised false and takes the portable path: slower, same answer.
+inline const bool has_bmi2 = [] {
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("bmi2") != 0;
+}();
+#endif
 }  // namespace detail
 
 /// Select: position of the (k+1)-th set bit of `x` (k 0-based), 64 if fewer
-/// than k+1 bits are set.  Uses BMI2 PDEP when compiled for a machine that
-/// has it (the "fast x86 select" of Pandey et al., arXiv:1706.00990).
+/// than k+1 bits are set.  PDEP where the CPU has BMI2, the portable loop
+/// everywhere else.
 inline int select64(uint64_t x, int k) {
-#if defined(__BMI2__)
-  uint64_t spread = _pdep_u64(uint64_t{1} << k, x);
-  return spread == 0 ? 64 : std::countr_zero(spread);
-#else
-  return detail::select64_portable(x, k);
+#if defined(__x86_64__)
+  if (detail::has_bmi2) return detail::select64_pdep(x, k);
 #endif
+  return detail::select64_portable(x, k);
 }
 
 /// Select ignoring the low `ignore` bits of `x` (gqf `bitselectv`).

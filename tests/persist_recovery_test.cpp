@@ -8,6 +8,7 @@
 // cross-checks) lives in tests/persist_wal_test.cpp.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
@@ -317,7 +318,16 @@ TEST(PersistRecovery, SupervisedReplicaResyncsFromDiskAfterRingWrap) {
   rcfg.reconnect_base_ms = 2;
   rcfg.reconnect_max_ms = 100;
   rcfg.reconnect_jitter_seed = 0x5eed;
-  rcfg.connector = net::faulty_connector();
+  // The reconnect waits until the whole burst below has been sent.  Left
+  // to its 2 ms backoff it could resume while the gap was still a single
+  // frame, which the ring serves (it keeps its newest frame even over
+  // budget), and no WAL delta would be needed.
+  std::atomic<bool> burst_sent{false};
+  rcfg.connector = [&burst_sent, connect = net::faulty_connector()](
+                       const std::string& host, uint16_t port) {
+    wait_until([&] { return burst_sent.load(); });
+    return connect(host, port);
+  };
   live_server replica(std::move(sr.store), rcfg, std::move(sr.feed),
                       std::move(sr.dec), sr.repl_seq + 1);
 
@@ -328,6 +338,7 @@ TEST(PersistRecovery, SupervisedReplicaResyncsFromDiskAfterRingWrap) {
   for (size_t lo = 0; lo < keys.size(); lo += 4000)
     cli.insert(span.subspan(lo, 4000));
   cli.erase(span.subspan(0, 1000));
+  burst_sent = true;
   ASSERT_TRUE(
       wait_until([&] { return replica.srv.stats().feed_lost >= 1; }))
       << "scripted cut never fired";

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+
 #include "gpu/launch.h"
+#include "tcf/tcf.h"
 #include "tcf/tcf_params.h"
 
 namespace gf::tcf {
@@ -109,6 +112,75 @@ TEST(TcfBlock, FillCountsOccupiedOnly) {
   EXPECT_EQ(block_fill(b), 3u);
   b.try_delete(1, 11);
   EXPECT_EQ(block_fill(b), 2u);  // tombstone = free space
+}
+
+// The word scan (block_find) against the per-slot reference on random
+// blocks: empty slots, tombstones, the fingerprints next to the
+// sentinels (2 and 3) and random ones, at every free-slot share.
+template <class Filter>
+void check_word_find_matches_slot_find() {
+  using block = typename Filter::block_type;
+  constexpr unsigned kVal = Filter::kValBits;
+  constexpr unsigned kFpMax = (1u << Filter::kFpBits) - 1;
+  constexpr uint16_t kFpMin = kVal > 0 ? 1 : 2;  // hash_key's sentinel remap
+  static_assert(block::kWordScan, "these layouts find by words");
+  std::mt19937_64 rng(99 + Filter::kFpBits + block::kSlots);
+  auto random_fp = [&] {
+    switch (rng() % 4) {
+      case 0: return uint16_t{2};
+      case 1: return uint16_t{3};
+      default:
+        return static_cast<uint16_t>(kFpMin + rng() % (kFpMax - kFpMin + 1));
+    }
+  };
+  for (int trial = 0; trial < 4000; ++trial) {
+    block b;
+    const unsigned free_share = static_cast<unsigned>(trial % 11);  // /10
+    for (unsigned i = 0; i < block::kSlots; ++i) {
+      if (rng() % 10 < free_share) {
+        b.slots[i] = static_cast<typename block::storage_type>(
+            rng() % 2 ? kEmpty : kTombstone);
+      } else {
+        const uint16_t value = static_cast<uint16_t>(rng() % (1u << kVal));
+        b.slots[i] = static_cast<typename block::storage_type>(
+            (random_fp() << kVal) | value);
+      }
+    }
+    for (int q = 0; q < 8; ++q) {
+      uint16_t fp = random_fp();
+      if (q < 2) {  // a fingerprint the block holds, when it holds any
+        unsigned i = static_cast<unsigned>(rng() % block::kSlots);
+        if (!block::is_empty(b.load(i)) && !block::is_tombstone(b.load(i)))
+          fp = static_cast<uint16_t>(b.load(i) >> kVal);
+      }
+      ASSERT_EQ(block_find<kVal>(b, fp), detail::block_find_slots<kVal>(b, fp))
+          << "trial " << trial << " fp " << fp;
+    }
+  }
+}
+
+TEST(TcfBlock, WordFindMatchesSlotFind8x8) {
+  check_word_find_matches_slot_find<tcf<8, 8>>();
+}
+TEST(TcfBlock, WordFindMatchesSlotFind16x16) {
+  check_word_find_matches_slot_find<tcf<16, 16>>();
+}
+TEST(TcfBlock, WordFindMatchesSlotFindPointTcf) {
+  check_word_find_matches_slot_find<point_tcf>();
+}
+TEST(TcfBlock, WordFindMatchesSlotFindKvTcf) {
+  check_word_find_matches_slot_find<kv_tcf>();
+}
+
+TEST(TcfBlock, WordScanKeepsBlockBytes) {
+  // alignas(8) on the slot array must not pad a block: snapshots and
+  // bits-per-key depend on sizeof(block).
+  EXPECT_EQ(sizeof(tcf<8, 8>::block_type), 8u);
+  EXPECT_EQ(sizeof(tcf<16, 16>::block_type), 32u);
+  EXPECT_EQ(sizeof(point_tcf::block_type), 64u);
+  EXPECT_EQ(sizeof(kv_tcf::block_type), 64u);
+  EXPECT_FALSE((tcf_block_aligned<8, 12>::kWordScan));
+  EXPECT_EQ(sizeof(tcf_block_aligned<8, 12>), 12u);
 }
 
 TEST(TcfBlock, RemapAvoidsSentinels) {

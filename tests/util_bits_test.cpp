@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <numeric>
 #include <random>
 
 namespace gf::util {
@@ -55,6 +58,51 @@ TEST(Bits, Select64AgainstNaive) {
       EXPECT_EQ(select64(x, k), naive) << "x=" << x << " k=" << k;
     }
     EXPECT_EQ(select64(x, bits), 64);  // one past the population
+  }
+}
+
+// A random word with exactly `n` set bits.
+uint64_t word_with_popcount(std::mt19937_64& rng, int n) {
+  std::array<int, 64> pos;
+  std::iota(pos.begin(), pos.end(), 0);
+  std::shuffle(pos.begin(), pos.end(), rng);
+  uint64_t x = 0;
+  for (int i = 0; i < n; ++i) x |= uint64_t{1} << pos[i];
+  return x;
+}
+
+TEST(Bits, Select64PdepMatchesPortable) {
+#if defined(__x86_64__)
+  if (!detail::has_bmi2) GTEST_SKIP() << "CPU has no BMI2";
+  std::mt19937_64 rng(1234);
+  for (int n = 0; n <= 64; ++n) {
+    for (int trial = 0; trial < 40; ++trial) {
+      uint64_t x = word_with_popcount(rng, n);
+      for (int k = 0; k <= 64; ++k)
+        ASSERT_EQ(detail::select64_pdep(x, k), detail::select64_portable(x, k))
+            << "x=" << x << " k=" << k;
+    }
+  }
+#else
+  GTEST_SKIP() << "PDEP is x86-64 only";
+#endif
+}
+
+TEST(Bits, Select64PastThePopulationIs64) {
+  // k >= popcount(x) has no answer; every path says 64, including k = 64
+  // on a full word, where a PDEP of 1 << k would be undefined.
+  const uint64_t words[] = {0, 1, 0x8000000000000000ull, 0xF0F0F0F0F0F0F0F0ull,
+                            ~uint64_t{0} >> 1, ~uint64_t{0}};
+  for (uint64_t x : words) {
+    for (int k = popcount(x); k <= 64; ++k) {
+      EXPECT_EQ(detail::select64_portable(x, k), 64) << "x=" << x << " k=" << k;
+      EXPECT_EQ(select64(x, k), 64) << "x=" << x << " k=" << k;
+#if defined(__x86_64__)
+      if (detail::has_bmi2) {
+        EXPECT_EQ(detail::select64_pdep(x, k), 64) << "x=" << x << " k=" << k;
+      }
+#endif
+    }
   }
 }
 

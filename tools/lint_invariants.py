@@ -32,6 +32,13 @@ Checks enforced:
    one-reactor metrics schema, and each carries an "exposition:" comment
    (same line or above, like the relaxed rule).
 
+5. one-bit-primitive-home: no `std::popcount`, `__builtin_popcount*`,
+   `_pdep_u64` or `__BMI2__` in src/ outside util/bits.h.  The default build
+   sets no -march, so how a bit primitive reaches the hardware (a libgcc
+   call, or PDEP chosen at run time from the CPU) is decided in that one
+   header; a direct use elsewhere silently bypasses the choice.  Comments
+   are not checked.
+
 Exit status: 0 clean, 1 violations (printed one per line as
 file:line: message).
 """
@@ -61,6 +68,9 @@ REACTOR_COUNT_RE = re.compile(
     rf"{_COUNT}\s*{_CMP}\s*1\b|\b1\s*{_CMP}\s*{_COUNT}"
     rf"|{_COUNT}\s*(?:<|>=)\s*2\b|\b2\s*(?:>|<=)\s*{_COUNT}")
 EXPOSITION_RE = re.compile(r"exposition:")
+BIT_PRIMITIVE_RE = re.compile(
+    r"std::popcount\b|__builtin_popcount\w*|\b_pdep_u64\b|\b__BMI2__\b")
+BIT_PRIMITIVE_HOME = REPO / "src" / "util" / "bits.h"
 # A new function starts at an unindented definition line ("inline ...",
 # "class ...", templates, etc.) — good enough to scope the codec check.
 FUNC_START_RE = re.compile(r"^[a-zA-Z/]")
@@ -117,6 +127,20 @@ def check_one_frame_path(path: Path, lines: list[str],
         )
 
 
+def check_bit_primitive_home(path: Path, lines: list[str],
+                             errors: list[str]) -> None:
+    if path == BIT_PRIMITIVE_HOME:
+        return
+    for i, line in enumerate(lines):
+        m = BIT_PRIMITIVE_RE.search(line.split("//", 1)[0])
+        if m:
+            errors.append(
+                f"{path.relative_to(REPO)}:{i + 1}: {m.group(0)} outside "
+                f"util/bits.h (use the util:: primitive, whose path is "
+                f"chosen there)"
+            )
+
+
 def check_codec_narrowing(path: Path, lines: list[str],
                           errors: list[str]) -> None:
     func_start = 0
@@ -142,6 +166,7 @@ def main() -> int:
         lines = path.read_text(encoding="utf-8").splitlines()
         check_relaxed(path, lines, errors)
         check_mailbox_ownership(path, lines, errors)
+        check_bit_primitive_home(path, lines, errors)
         if path.parent == REPO / "src" / "net":
             check_one_frame_path(path, lines, errors)
 
