@@ -41,13 +41,15 @@
 //     startup; replicas attaching via --replica-of need no flag here).
 //   * A --replica-of replica *supervises* its feed: if the primary dies
 //     or the stream gaps, it reconnects with jittered exponential backoff
-//     and re-syncs — by replayed delta when the primary's replay ring
+//     and re-syncs — by replayed delta when the primary's replay log
 //     still covers the gap, by full snapshot otherwise.
 //   * --ack-replicas N gates mutating client responses on N subscriber
 //     acks; --ack-timeout-ms bounds the wait (on expiry the response is
 //     released with wire_status::ok_async — applied, durability softened).
-//   * --replay-ring-mb sizes the primary's replay ring (delta re-sync
-//     window); 0 disables deltas and forces snapshot re-syncs.
+//   * --replay-ring-mb sizes the replay log's memory tier (delta re-sync
+//     window), split into one window per replication lane; 0 leaves
+//     deltas to the WAL (with --wal-dir) and otherwise forces snapshot
+//     re-syncs.
 //
 // Durability (src/persist/):
 //   * --wal-dir PATH arms the write-ahead log: every applied mutating
@@ -65,8 +67,8 @@
 //   * With both --wal-dir and --snapshot, the WAL checkpoint wins on
 //     restart; the legacy snapshot only seeds a virgin WAL directory.
 //   * A replica with --wal-dir logs its applied feed too, and a primary
-//     with one serves delta re-syncs from disk after its in-memory
-//     replay ring has wrapped.
+//     with one serves delta re-syncs from disk after a lane's memory
+//     window has wrapped.
 //
 // Observability: the running server serves Prometheus-style metrics and a
 // chrome://tracing event dump in-band over STATS (see src/net/frame.h's
@@ -130,7 +132,8 @@ int usage() {
       "  --replicate-to: invite that standby to sync from this server\n"
       "  --ack-replicas: hold mutation replies for N subscriber acks\n"
       "  --ack-timeout-ms: ack-gate deadline before degrading to async\n"
-      "  --replay-ring-mb: delta re-sync window in MiB (0 = snapshots only)\n"
+      "  --replay-ring-mb: delta re-sync memory in MiB, split into one\n"
+      "    window per lane (0 = WAL deltas or snapshots only)\n"
       "  --trace-out: write chrome://tracing JSON of recent events on exit\n"
       "  --wal-dir: write-ahead log + checkpoints here; restart replays\n"
       "    only the tail above the checkpoint (crash-safe, O(delta))\n"

@@ -143,25 +143,13 @@ inline uint16_t decode_sync_invite(const frame& f) {
   return static_cast<uint16_t>(get_u64(f.payload.data()));
 }
 
-/// Delta re-sync request: "I last applied stream sequence `last_seq`; send
-/// me what I missed."  The primary serves the delta from its replay ring
-/// when it still covers last_seq + 1, else falls back to a full chunked
-/// snapshot on the same connection (net/replication.h's sync_resume
-/// handles both answers).
-inline std::vector<uint8_t> encode_sync_resume_request(uint64_t seq,
-                                                       uint64_t last_seq) {
-  frame f;
-  f.op = opcode::sync;
-  f.sequence = seq;
-  f.shard_hint = kSyncResumeHint;
-  put_u64(f.payload, last_seq);
-  return encode_frame(f);
-}
-
-/// Lane-aware resume request: one lane-stamped "last applied" sequence per
-/// replication lane (net/lane.h).  A single-lane replica emits exactly the
-/// scalar request above — the L == 1 payload is byte-identical — so pre-lane
-/// primaries keep accepting it unchanged.
+/// Delta re-sync request: "I last applied these stream sequences; send me
+/// what I missed" — one lane-stamped "last applied" sequence per
+/// replication lane (net/lane.h).  The primary serves the delta from its
+/// replay log when it covers every lane's gap, else falls back to a full
+/// chunked snapshot on the same connection (net/replication.h's
+/// sync_resume handles both answers).  One lane's payload is the pre-lane
+/// 8-byte scalar.
 inline std::vector<uint8_t> encode_sync_resume_request(
     uint64_t seq, std::span<const uint64_t> lane_lasts) {
   frame f;
@@ -172,13 +160,8 @@ inline std::vector<uint8_t> encode_sync_resume_request(
   return encode_frame(f);
 }
 
-/// Last applied sequence named by a resume request (validate shape first).
-inline uint64_t decode_sync_resume(const frame& f) {
-  return get_u64(f.payload.data());
-}
-
-/// All lane-stamped last-applied sequences of a resume request.  A legacy
-/// scalar request decodes as the one-lane vector.
+/// All lane-stamped last-applied sequences of a resume request (validate
+/// shape first).
 inline std::vector<uint64_t> decode_sync_resume_lanes(const frame& f) {
   std::vector<uint64_t> lasts(f.payload.size() / 8);
   get_u64s(f.payload.data(), lasts.size(), lasts.data());
@@ -296,34 +279,17 @@ inline sync_chunk_header decode_sync_chunk_header(const frame& f) {
   return {get_u64(f.payload.data()), get_u64(f.payload.data() + 8)};
 }
 
-/// Delta-accept response to a resume request: the replayed frames that
-/// follow on this connection cover sequences (resume_from .. upto]; when
-/// resume_from == upto the replica was already current and the connection
-/// goes straight to live streaming.
-inline std::vector<uint8_t> encode_sync_delta_response(uint64_t seq,
-                                                       uint64_t resume_from,
-                                                       uint64_t upto) {
-  frame f;
-  f.op = opcode::sync;
-  f.sequence = seq;
-  f.shard_hint = kSyncDeltaHint;
-  put_u64(f.payload, resume_from);
-  put_u64(f.payload, upto);
-  return encode_frame(f);
-}
-
+/// One lane's span of a delta accept.
 struct sync_delta_header {
   uint64_t resume_from = 0;  ///< the replica's last applied sequence
   uint64_t upto = 0;         ///< primary stream position at accept time
 };
 
-inline sync_delta_header decode_sync_delta_header(const frame& f) {
-  return {get_u64(f.payload.data()), get_u64(f.payload.data() + 8)};
-}
-
-/// Lane-aware delta accept: one (resume_from, upto) span per replication
-/// lane, in lane order.  The L == 1 payload is byte-identical to the scalar
-/// response above, so single-lane peers interoperate unchanged.
+/// Delta-accept response to a resume request: one (resume_from, upto) span
+/// per replication lane, in lane order.  The replayed frames that follow on
+/// this connection cover each lane's (resume_from .. upto]; a lane with
+/// resume_from == upto was already current.  One lane's payload is the
+/// pre-lane 16-byte scalar pair.
 inline std::vector<uint8_t> encode_sync_delta_response(
     uint64_t seq, std::span<const sync_delta_header> lanes) {
   frame f;
@@ -337,8 +303,7 @@ inline std::vector<uint8_t> encode_sync_delta_response(
   return encode_frame(f);
 }
 
-/// All per-lane spans of a delta accept.  A legacy scalar response decodes
-/// as the one-lane vector.
+/// All per-lane spans of a delta accept (validate shape first).
 inline std::vector<sync_delta_header> decode_sync_delta_lanes(const frame& f) {
   std::vector<sync_delta_header> lanes(f.payload.size() / 16);
   for (size_t i = 0; i < lanes.size(); ++i) {
@@ -428,8 +393,7 @@ inline const char* validate_request(const frame& f) {
         return nullptr;
       }
       if (f.shard_hint == kSyncResumeHint) {
-        // One lane-stamped u64 per lane; the legacy scalar is the L == 1
-        // case.
+        // One lane-stamped u64 per lane.
         if (p < 8 || p % 8 != 0 || p > size_t{kMaxLanes} * 8)
           return "sync resume payload size mismatch";
         return nullptr;
@@ -482,7 +446,7 @@ inline const char* validate_response(const frame& f) {
       return nullptr;
     case opcode::sync:
       // Delta-accept: a resume was granted; replayed frames follow.  One
-      // (resume_from, upto) pair per lane; the legacy scalar is L == 1.
+      // (resume_from, upto) pair per lane.
       if (f.shard_hint == kSyncDeltaHint) {
         if (n != 0) return "sync delta response carries a key count";
         if (p < 16 || p % 16 != 0 || p > size_t{kMaxLanes} * 16)

@@ -98,18 +98,17 @@ inline constexpr uint32_t kStatsMetricsHint = 0xFFFF'FFFDu;
 inline constexpr uint32_t kStatsTraceHint = 0xFFFF'FFFCu;
 
 /// shard_hint value that turns a SYNC *request* into a delta re-sync: the
-/// 8-byte payload names the replica's last applied stream sequence.  The
-/// primary answers either with a kSyncDeltaHint frame followed by the
-/// missed mutation frames replayed from its replay ring (net/replay_ring.h)
-/// — the connection is a subscriber again, no snapshot moved — or, when the
-/// ring has wrapped past the requested position (or the replica is ahead of
-/// this primary, e.g. after a crash-restart from an older snapshot), with
-/// an ordinary chunked snapshot bootstrap.
+/// payload is the replica's last applied sequence per lane, one u64 each
+/// (8 bytes for one lane).  The primary answers either with a
+/// kSyncDeltaHint frame followed by the missed frames replayed from its
+/// replay log (net/replay_ring.h) — the connection is a subscriber again,
+/// no snapshot moved — or, when the log no longer covers some lane's gap
+/// (or the replica is ahead of this primary, e.g. after a crash-restart
+/// from an older snapshot), with an ordinary chunked snapshot bootstrap.
 inline constexpr uint32_t kSyncResumeHint = 0xFFFF'FFFBu;
 /// shard_hint of the SYNC *response* frame accepting a delta re-sync; the
-/// 16-byte payload is (u64 resume_from, u64 upto) — the sequence range the
-/// replayed frames that follow will cover (empty when the replica was
-/// already current).
+/// payload is one (u64 resume_from, u64 upto) pair per lane (16 bytes for
+/// one lane) — the range the replayed frames that follow will cover.
 inline constexpr uint32_t kSyncDeltaHint = 0xFFFF'FFFAu;
 /// shard_hint of the SYNC *response* frame a multi-lane primary
 /// (net/server.h `reactors > 1`, net/lane.h) sends immediately before

@@ -5,7 +5,7 @@
 // stamps the frames it replicates on lane k.  The wire format's u64
 // sequence field carries both halves — the lane id in the top byte, the
 // lane-local position below — so every consumer of a stream sequence
-// (subscribers, the replay ring, gap detection, the WAL) can recover the
+// (subscribers, the replay log, gap detection, the WAL) can recover the
 // lane without a schema change.
 //
 // Lane 0 is special by construction: lane_seq(0, n) == n, so a

@@ -184,15 +184,6 @@ sync_result sync_from(const std::string& host, uint16_t port,
 }
 
 resync_result sync_resume(const std::string& host, uint16_t port,
-                          uint64_t last_seq, const std::string& snapshot_path,
-                          size_t max_frame_bytes, int timeout_ms,
-                          const connect_fn& connector) {
-  const uint64_t one[1] = {last_seq};
-  return sync_resume(host, port, std::span<const uint64_t>(one),
-                     snapshot_path, max_frame_bytes, timeout_ms, connector);
-}
-
-resync_result sync_resume(const std::string& host, uint16_t port,
                           std::span<const uint64_t> lane_lasts,
                           const std::string& snapshot_path,
                           size_t max_frame_bytes, int timeout_ms,
@@ -227,16 +218,15 @@ resync_result sync_resume(const std::string& host, uint16_t port,
     const std::vector<sync_delta_header> lanes = decode_sync_delta_lanes(f);
     if (lanes.size() != lane_lasts.size())
       throw std::runtime_error("gf: resync lane count mismatch");
-    uint64_t upto_sum = 0;
     for (size_t i = 0; i < lanes.size(); ++i) {
       if (lanes[i].resume_from != lane_lasts[i])
         throw std::runtime_error("gf: resync resume point mismatch");
       out.lane_seqs.push_back(lanes[i].upto);
-      upto_sum += lane_local(lanes[i].upto);
+      // Summed lane-local positions; lane 0's alone is its plain sequence.
+      out.repl_seq += lane_local(lanes[i].upto);
     }
     out.kind = resync_kind::delta;
     out.resume_from = lane_lasts[0];
-    out.repl_seq = lanes.size() == 1 ? lanes[0].upto : upto_sum;
     out.bootstrap_ns = obs::now_ns() - t_start;
     out.feed = std::move(fd);
     out.dec = std::move(dec);

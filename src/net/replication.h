@@ -19,12 +19,11 @@
 // there — the replica's own durability cycle starts from its first byte.
 //
 // sync_resume() is the cheap path a replica takes after *losing* a feed it
-// already had: it presents its last applied sequence and the primary
-// either replays just the missed frames out of its replay ring
+// already had: it presents each lane's last applied sequence and the
+// primary either replays just the missed frames out of its replay log
 // (net/replay_ring.h) — no snapshot moves, the store it already has stays
-// — or, when the ring has wrapped past that position, falls back to the
-// same chunked snapshot bootstrap.  The caller learns which happened from
-// resync_result::kind.
+// — or, when the log no longer covers the gap, falls back to the same
+// chunked snapshot bootstrap.  resync_result::kind says which happened.
 //
 // Either way the returned feed (socket + decoder, which may already hold
 // live frames) is handed to net::server::attach_feed, whose event loop
@@ -82,9 +81,9 @@ sync_result sync_from(const std::string& host, uint16_t port,
 
 /// How a lost replica caught back up.
 enum class resync_kind : uint8_t {
-  delta,     ///< primary replayed the missed frames from its ring; the
+  delta,     ///< primary replayed the missed frames from its log; the
              ///< store the replica already has is still the right one
-  snapshot,  ///< ring wrapped (or the replica was ahead of a restarted
+  snapshot,  ///< log wrapped (or the replica was ahead of a restarted
              ///< primary): full bootstrap, `store` is engaged
 };
 
@@ -108,21 +107,12 @@ struct resync_result {
   frame_decoder dec;
 };
 
-/// Re-sync after feed loss: present `last_seq` (the last stream sequence
-/// this replica applied) and take whichever path the primary grants —
-/// delta replay or snapshot fallback.  Parameters as sync_from; no
-/// connect retries (the caller's reconnect supervisor owns backoff).
-resync_result sync_resume(const std::string& host, uint16_t port,
-                          uint64_t last_seq,
-                          const std::string& snapshot_path = "",
-                          size_t max_frame_bytes = kDefaultMaxFrameBytes,
-                          int timeout_ms = 30000,
-                          const connect_fn& connector = nullptr);
-
-/// Lane-aware re-sync: one lane-stamped last-applied sequence per lane the
-/// replica tracks.  The primary only grants a delta when its lane layout
-/// matches and every lane is covered; otherwise the snapshot fallback
-/// re-bootstraps (and may change the lane count — read lane_seqs).
+/// Re-sync after feed loss: present one lane-stamped last-applied sequence
+/// per lane the replica tracks and take whichever path the primary grants.
+/// A delta needs a matching lane layout and every lane's gap covered;
+/// otherwise the snapshot fallback re-bootstraps (and may change the lane
+/// count — read lane_seqs).  Parameters as sync_from; no connect retries
+/// (the caller's reconnect supervisor owns backoff).
 resync_result sync_resume(const std::string& host, uint16_t port,
                           std::span<const uint64_t> lane_lasts,
                           const std::string& snapshot_path = "",

@@ -18,7 +18,6 @@
 #include "gpu/launch.h"
 #include "net/codec.h"
 #include "net/mailbox.h"
-#include "net/replay_ring.h"
 #include "net/replication.h"
 #include "obs/build_info.h"
 #include "obs/clock.h"
@@ -173,7 +172,6 @@ struct server::reactor {
   uint64_t next_ticket = 1;
   uint32_t mutations_since_maintain = 0;
   uint64_t lane_local = 0;  ///< lane-local stream position
-  replay_ring ring;         ///< this lane's replayable frame window
   obs::trace_ring trace;
   obs::latency_histogram op_hist[kNumOpcodes];
   obs::latency_histogram stage_decode_ns, stage_apply_ns, stage_encode_ns,
@@ -182,13 +180,9 @@ struct server::reactor {
   std::vector<std::unique_ptr<mailbox<reactor_msg>>> inboxes;
   uint64_t handoffs = 0;  ///< connections adopted off the accept mailbox
 
-  reactor(uint32_t id_in, uint32_t sb, uint32_t se, size_t ring_bytes,
-          size_t trace_cap, uint32_t nr)
-      : id(id_in),
-        shard_begin(sb),
-        shard_end(se),
-        ring(ring_bytes),
-        trace(trace_cap) {
+  reactor(uint32_t id_in, uint32_t sb, uint32_t se, size_t trace_cap,
+          uint32_t nr)
+      : id(id_in), shard_begin(sb), shard_end(se), trace(trace_cap) {
     inboxes.reserve(nr);
     for (uint32_t p = 0; p < nr; ++p)
       inboxes.push_back(std::make_unique<mailbox<reactor_msg>>());
@@ -196,7 +190,9 @@ struct server::reactor {
 };
 
 server::server(server_config cfg, store::filter_store st)
-    : cfg_(std::move(cfg)), store_(std::move(st)) {
+    : cfg_(std::move(cfg)),
+      store_(std::move(st)),
+      log_(cfg_.replay_ring_bytes, cfg_.durability) {
   listen_ = tcp_listen(cfg_.bind_addr, cfg_.port, cfg_.backlog);
   set_nonblocking(listen_.get());
   port_ = local_port(listen_);
@@ -222,9 +218,8 @@ server::server(server_config cfg, store::filter_store st)
     const uint32_t end = static_cast<uint32_t>(
         (uint64_t{k + 1} * shards) / nr_);
     for (uint32_t s = begin; s < end; ++s) shard_owner_[s] = k;
-    reactors_.push_back(std::make_unique<reactor>(
-        k, begin, end, cfg_.replay_ring_bytes / nr_, cfg_.trace_capacity,
-        nr_));
+    reactors_.push_back(
+        std::make_unique<reactor>(k, begin, end, cfg_.trace_capacity, nr_));
     int fds[2];
     if (::pipe(fds) != 0)
       throw std::runtime_error("gf: cannot create wakeup pipe");
@@ -240,6 +235,7 @@ server::server(server_config cfg, store::filter_store st)
   for (uint32_t l = 0; l < kMaxLanes; ++l)
     lane_seqs_[l].store(lane_seq(l, 0), std::memory_order_relaxed);
   lane_count_.store(nr_, std::memory_order_relaxed);
+  log_.split(nr_);  // one window per reactor's lane
   start_ns_ = obs::now_ns();
 
   if (cfg_.durability != nullptr) {
@@ -352,14 +348,10 @@ void server::register_metrics() {
   registry_.add_counter("gf_repl_ack_degraded_total", "",
                         [this, relaxed] { return relaxed(ack_degraded_); });
   registry_.add_gauge("gf_repl_replay_ring_bytes", "", [this] {
-    size_t n = 0;
-    for (const auto& r : reactors_) n += r->ring.bytes();
-    return static_cast<double>(n);
+    return static_cast<double>(log_.bytes());
   });
   registry_.add_gauge("gf_repl_replay_ring_frames", "", [this] {
-    size_t n = 0;
-    for (const auto& r : reactors_) n += r->ring.size();
-    return static_cast<double>(n);
+    return static_cast<double>(log_.size());
   });
   registry_.add_gauge("gf_repl_seq", "", [this] {
     return static_cast<double>(repl_position());
@@ -693,6 +685,9 @@ void server::adopt_feed(socket_fd fd, frame_decoder dec,
     if (l + 1 > lane_count_.load(std::memory_order_relaxed))
       lane_count_.store(l + 1, std::memory_order_relaxed);
   }
+  // Split the replay budget across every lane this follower knows (a
+  // follower restarted from its WAL may know more lanes than reactors).
+  log_.split(active_lanes());
   // relaxed: single-writer (event loop) telemetry; readers need no ordering.
   feed_attached_.store(1, std::memory_order_relaxed);
   reactor& r0 = *reactors_[0];
@@ -1201,7 +1196,7 @@ uint64_t server::replicate(reactor& r, const frame& f) {
   // release: pairs with acquire loads in gating reactors reading this
   // lane's position.
   lane_seqs_[r.id].store(seq, std::memory_order_release);
-  publish(r, f, seq, &r.ring);
+  publish(r, f, seq);
   // The store already holds this part: a checkpoint now covers it.
   checkpoint_if_due(r);
   return seq;
@@ -1216,18 +1211,20 @@ void server::chain_forward(reactor& r, const frame& f) {
   if (l < kMaxLanes) {
     // release: pairs with acquire loads in gating reactors.
     lane_seqs_[l].store(seq, std::memory_order_release);
-    // relaxed: lane_count_ only grows and only this chokepoint writes it.
-    if (l + 1 > lane_count_.load(std::memory_order_relaxed))
+    // relaxed: lane_count_ only grows and only feed paths write it.
+    if (l + 1 > lane_count_.load(std::memory_order_relaxed)) {
       lane_count_.store(l + 1, std::memory_order_relaxed);
+      // A follower is read-only: reactor 0 writes every lane's window, so
+      // re-splitting the budget here races no pusher.
+      log_.split(l + 1);
+    }
   }
-  publish(r, f, seq, l < nr_ ? &reactors_[l]->ring : nullptr);
+  publish(r, f, seq);
 }
 
-void server::publish(reactor& r, const frame& f, uint64_t seq,
-                     replay_ring* ring) {
+void server::publish(reactor& r, const frame& f, uint64_t seq) {
   // relaxed: single-writer (event loop) telemetry; readers need no ordering.
-  if (subscribers_.load(std::memory_order_relaxed) == 0 &&
-      (ring == nullptr || ring->budget() == 0) && cfg_.durability == nullptr)
+  if (subscribers_.load(std::memory_order_relaxed) == 0 && !log_.recording())
     return;
   // Re-encode straight from the decoded frame's fields with the stream
   // sequence stamped in — the payload (multi-MiB for big batches) is
@@ -1235,17 +1232,13 @@ void server::publish(reactor& r, const frame& f, uint64_t seq,
   auto bytes = std::make_shared<std::vector<uint8_t>>();
   encode_frame(f.op, wire_status::ok, f.shard_hint, f.key_count, seq,
                f.payload, *bytes);
-  if (cfg_.durability != nullptr)
-    // The WAL gets the exact stamped bytes the subscriber feed carries
-    // before the client's response can flush: the mutation is on disk —
-    // fsync policy permitting — by the time anyone is told it happened.
-    // Reactor r is its lane's only appender.
-    cfg_.durability->append(seq, *bytes);
+  // The log gets the exact stamped bytes the subscriber feed carries, WAL
+  // first, before the frame is forwarded or the client's response can
+  // flush: the mutation is on disk — fsync policy permitting — by the time
+  // anyone is told it happened, and a delta replay is byte-identical to
+  // having never disconnected.  Reactor r is its lane's only writer.
+  log_.push(seq, bytes);
   forward_to_subs(r, bytes);
-  // The ring gets the exact bytes a live subscriber saw, so a delta replay
-  // is byte-identical to having never disconnected.
-  if (ring != nullptr)
-    ring->push(seq, bytes.use_count() == 1 ? std::move(*bytes) : *bytes);
 }
 
 void server::forward_to_subs(
@@ -1279,7 +1272,7 @@ void server::deliver_to_sub(sub_entry& s, const std::vector<uint8_t>& bytes) {
   // A subscriber that cannot drain its stream is cut loose: async
   // replication must never let one slow replica grow this process without
   // bound.  The replica sees the EOF, counts a lost feed, and — with a
-  // supervisor — comes back with a resume request the replay ring answers.
+  // supervisor — comes back with a resume request the replay log answers.
   if (c->out.size() - c->out_pos > c->queue_cap) {
     // relaxed: single-writer (event loop) telemetry; readers need no ordering.
     subscriber_drops_.fetch_add(1, std::memory_order_relaxed);
@@ -1474,8 +1467,7 @@ void server::try_resync_feed() {
   try {
     auto [host, port] = parse_host_port(cfg_.feed_addr);
     // One lane-stamped last-applied position per lane this replica has
-    // seen; a replica of a single-lane primary presents the one scalar
-    // (the request bytes are then identical to the pre-lane protocol).
+    // seen (one lane's request is the pre-lane 8-byte payload).
     std::vector<uint64_t> lasts;
     for (const auto& [l, next] : feed_expected_by_lane_) {
       (void)next;
@@ -1525,18 +1517,16 @@ void server::adopt_lineage(store::filter_store st,
     // metrics bundle — rebuild them against the new store.
     register_metrics();
     // New lineage: any subscriber synced off the old store is cut loose to
-    // bootstrap afresh instead of silently diverging, and the rings'
-    // frames and the WAL's segments describe a store that no longer
-    // exists.
-    for (auto& rx : reactors_) {
+    // bootstrap afresh instead of silently diverging, and the log's
+    // windows and segments describe a store that no longer exists.
+    for (auto& rx : reactors_)
       for (auto& sub : rx->conns)
         if (!sub->dead && sub->kind == connection::role::subscriber) {
           // relaxed: single-writer (event loop) telemetry; readers need no ordering.
           subscriber_drops_.fetch_add(1, std::memory_order_relaxed);
           sub->dead = true;
         }
-      rx->ring.clear();
-    }
+    log_.clear();
     // relaxed: inside run_quiesced — every other reactor is parked.
     for (uint32_t l = 0; l < kMaxLanes; ++l)
       lane_seqs_[l].store(lane_seq(l, 0), std::memory_order_relaxed);
@@ -1623,81 +1613,53 @@ void server::serve_resume(reactor& r, connection& c, const frame& f) {
   const std::vector<uint64_t> lasts = decode_sync_resume_lanes(f);
   const uint32_t lanes = active_lanes();
   // Grant a delta only when the replica's lane layout matches ours exactly
-  // and *every* lane is covered by its ring or the WAL — a partial replay
-  // would interleave a hole into one lane.  Never at stream position 0: a
+  // and the log covers *every* lane's gap — a partial replay would
+  // interleave a hole into one lane.  Never at stream position 0: a
   // primary restarted from a snapshot is back at 0 with a *different*
   // store, and a replica whose bootstrap also happened at 0 would
   // otherwise be granted an empty delta against data it has never seen.
-  // A lane the ring has wrapped past is read back from the WAL when one is
-  // armed: the re-encoded bytes are identical with what the live stream
-  // carried (persist_wal_test proves it).
-  bool shape_ok = lasts.size() == lanes;
-  for (uint32_t l = 0; shape_ok && l < lanes; ++l)
-    if (lane_of(lasts[l]) != l) shape_ok = false;
-  if (shape_ok) {
-    std::vector<uint64_t> curs(lanes);
-    uint64_t pos_sum = 0;
-    for (uint32_t l = 0; l < lanes; ++l) {
-      // relaxed: reactor 0 reads lane tips under the STW barrier.
-      curs[l] = lane_seqs_[l].load(std::memory_order_relaxed);
-      pos_sum += lane_local(curs[l]);
-    }
-    bool covered = pos_sum != 0;
-    std::vector<bool> from_wal(lanes, false);
-    for (uint32_t l = 0; covered && l < lanes; ++l) {
-      if (lasts[l] == curs[l]) continue;  // lane already caught up
-      if (l < nr_ && reactors_[l]->ring.covers(lasts[l], curs[l])) continue;
-      if (cfg_.durability != nullptr &&
-          cfg_.durability->covers(lasts[l], curs[l])) {
-        from_wal[l] = true;
-        continue;
-      }
-      covered = false;
-    }
-    if (covered) {
-      std::vector<sync_delta_header> headers(lanes);
-      for (uint32_t l = 0; l < lanes; ++l)
-        headers[l] = {lasts[l], curs[l]};
-      // One lane answers with the scalar (pre-lane) delta header.
-      std::vector<uint8_t> out =
-          lanes == 1 ? encode_sync_delta_response(f.sequence,
-                                                  headers[0].resume_from,
-                                                  headers[0].upto)
-                     : encode_sync_delta_response(
-                           f.sequence,
-                           std::span<const sync_delta_header>(headers));
-      size_t replayed = 0;
-      bool any_wal = false;
-      for (uint32_t l = 0; l < lanes; ++l) {
-        if (lasts[l] == curs[l]) continue;
-        if (!from_wal[l] && l < nr_ &&
-            reactors_[l]->ring.covers(lasts[l], curs[l])) {
-          replayed += reactors_[l]->ring.encode_from(lasts[l], out);
-        } else {
-          replayed += cfg_.durability->encode_from(lasts[l], out);
-          any_wal = true;
-        }
-      }
-      const size_t out_bytes = out.size();
-      append_out(c, std::move(out));
-      register_subscriber(c, std::span<const uint64_t>(lasts), out_bytes);
-      // relaxed: single-writer (event loop) telemetry; readers need no ordering.
-      deltas_served_.fetch_add(1, std::memory_order_relaxed);
-      if (any_wal) {
-        wal_deltas_served_.fetch_add(1, std::memory_order_relaxed);
-        r.trace.add("repl", "wal_delta_serve", obs::now_ns(), 0, "frames",
-                    replayed);
-      } else {
-        r.trace.add("repl", "delta_serve", obs::now_ns(), 0, "frames",
-                    replayed);
-      }
-      return;
-    }
+  // A lane whose memory window has wrapped is read back from the WAL: the
+  // re-encoded bytes are identical with what the live stream carried
+  // (persist_wal_test proves it).
+  std::vector<sync_delta_header> spans(lanes);
+  bool covered = lasts.size() == lanes;
+  uint64_t pos_sum = 0;
+  for (uint32_t l = 0; covered && l < lanes; ++l) {
+    // relaxed: reactor 0 reads lane tips under the STW barrier.
+    spans[l] = {lasts[l], lane_seqs_[l].load(std::memory_order_relaxed)};
+    pos_sum += lane_local(spans[l].upto);
+    covered = lane_of(lasts[l]) == l && log_.covers(lasts[l], spans[l].upto);
   }
-  // No full coverage (or a lane-layout mismatch): the only safe catch-up
-  // is a full bootstrap — also the case of a replica living in this
-  // primary's future after a crash-restart from an older snapshot.
-  serve_snapshot(r, c, f);
+  if (!covered || pos_sum == 0) {
+    // No full coverage (or a lane-layout mismatch): the only safe catch-up
+    // is a full bootstrap — also the case of a replica living in this
+    // primary's future after a crash-restart from an older snapshot.
+    serve_snapshot(r, c, f);
+    return;
+  }
+  std::vector<uint8_t> out = encode_sync_delta_response(
+      f.sequence, std::span<const sync_delta_header>(spans));
+  size_t replayed = 0;
+  bool from_disk = false;
+  for (const sync_delta_header& h : spans) {
+    if (h.resume_from == h.upto) continue;  // lane already current
+    replay_ring::tier used = replay_ring::tier::memory;
+    replayed += log_.encode_from(h.resume_from, out, &used);
+    from_disk |= used == replay_ring::tier::disk;
+  }
+  const size_t out_bytes = out.size();
+  append_out(c, std::move(out));
+  register_subscriber(c, std::span<const uint64_t>(lasts), out_bytes);
+  // relaxed: single-writer (event loop) telemetry; readers need no ordering.
+  deltas_served_.fetch_add(1, std::memory_order_relaxed);
+  if (from_disk) {
+    // relaxed: single-writer (event loop) telemetry; readers need no ordering.
+    wal_deltas_served_.fetch_add(1, std::memory_order_relaxed);
+    r.trace.add("repl", "wal_delta_serve", obs::now_ns(), 0, "frames",
+                replayed);
+  } else {
+    r.trace.add("repl", "delta_serve", obs::now_ns(), 0, "frames", replayed);
+  }
 }
 
 void server::serve_snapshot(reactor& r, connection& c, const frame& f) {
@@ -2350,12 +2312,8 @@ std::string server::stats_json_text(uint64_t t_now) const {
   w.object_begin();
   store::report_json_fields(store_, w);
   const server_stats s = stats();
-  size_t ack_pending = 0, ring_frames = 0, ring_bytes = 0;
-  for (const auto& rx : reactors_) {
-    ack_pending += rx->pending_acks.size();
-    ring_frames += rx->ring.size();
-    ring_bytes += rx->ring.bytes();
-  }
+  size_t ack_pending = 0;
+  for (const auto& rx : reactors_) ack_pending += rx->pending_acks.size();
   w.key("server").object_begin();
   w.field("version", obs::kVersion)
       .field("build", obs::kBuildType)
@@ -2396,8 +2354,8 @@ std::string server::stats_json_text(uint64_t t_now) const {
       .field("ack_waits", s.ack_waits)
       .field("ack_degraded", s.ack_degraded)
       .field("ack_pending", ack_pending)
-      .field("ring_frames", ring_frames)
-      .field("ring_bytes", ring_bytes)
+      .field("ring_frames", log_.size())
+      .field("ring_bytes", log_.bytes())
       .field("read_only_refusals", s.read_only_refusals);
   w.object_end();
   w.key("durability").object_begin();

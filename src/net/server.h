@@ -92,6 +92,7 @@
 
 #include "net/frame.h"
 #include "net/lane.h"
+#include "net/replay_ring.h"
 #include "net/socket.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
@@ -102,8 +103,6 @@ class durability_engine;  // src/persist/durability.h
 }
 
 namespace gf::net {
-
-class replay_ring;  // net/replay_ring.h
 
 struct server_config {
   std::string bind_addr = "127.0.0.1";
@@ -176,19 +175,19 @@ struct server_config {
 
   // -- Self-healing replication ---------------------------------------------
 
-  /// Byte budget of the replay ring backing delta re-sync (replay_ring.h);
-  /// split evenly across reactors (each lane's ring replays that lane's
-  /// frames).  A reconnecting replica inside this window is caught up by
-  /// replaying the frames it missed instead of moving a whole snapshot.
-  /// 0 disables the ring — every re-sync is a snapshot bootstrap.
+  /// Byte budget of the replay log's memory windows (replay_ring.h), split
+  /// evenly across the reactors' lanes — or, on a server following a feed,
+  /// across the feed's lanes.  A replica reconnecting inside its lanes'
+  /// windows is caught up by replay instead of a whole snapshot.  0
+  /// disables the windows: a re-sync is a WAL delta or a snapshot.
   size_t replay_ring_bytes = size_t{1} << 24;  // 16 MiB
   /// Primary this server follows ("host:port").  Empty = unsupervised (a
   /// feed handed to attach_feed is used until it dies, PR 5 behavior).
   /// Non-empty arms the feed supervisor: on loss (EOF, error, an idle
   /// timeout, or a stream gap the replica cannot bridge) the event loop
   /// retries with jittered exponential backoff and re-syncs by delta
-  /// (sync_resume, lane-aware), falling back to snapshot only when the
-  /// primary's rings have wrapped.
+  /// (sync_resume), falling back to snapshot only when the primary's replay
+  /// log no longer covers the gap.
   std::string feed_addr;
   uint32_t reconnect_base_ms = 50;   ///< first backoff step
   uint32_t reconnect_max_ms = 5000;  ///< backoff ceiling
@@ -207,15 +206,14 @@ struct server_config {
 
   /// Write-ahead log + checkpoint engine, already recover()ed or reset()
   /// by the owner (examples/store_server.cpp), which keeps ownership; the
-  /// server only calls it from its loops.  When set, every applied
-  /// mutating batch — auto-maintain's synthesized frames included — is
-  /// appended at the same point it is fed to subscribers (each reactor
-  /// appending its own lane's segment stream — wal-dir/lane-<k>/),
-  /// checkpoints run under the stop-the-world barrier as soon as an
-  /// applied frame makes one due, and a reconnecting replica whose resume
-  /// position has wrapped out of a replay ring is served a delta read back
-  /// from the WAL instead of a whole snapshot.  Null disables durability:
-  /// a resume the replay ring cannot cover moves a whole snapshot.
+  /// server only calls it from its loops.  It is the replay log's disk tier
+  /// (replay_ring.h): every applied mutating batch — auto-maintain's
+  /// synthesized frames included — is appended before subscribers see it
+  /// (each reactor appending its own lane's segment stream —
+  /// wal-dir/lane-<k>/), and a resume a lane's memory window has wrapped
+  /// past is served from it.  Checkpoints run under the stop-the-world
+  /// barrier as soon as an applied frame makes one due.  Null disables
+  /// durability.
   persist::durability_engine* durability = nullptr;
 
   // -- Ack-gated writes -----------------------------------------------------
@@ -263,7 +261,8 @@ struct server_stats {
   // Replication, primary side: resume serving and ack gating.
   uint64_t deltas_served = 0;     ///< resume requests answered by replay
   uint64_t wal_deltas_served = 0; ///< of those, read back from the disk WAL
-                                  ///< because the in-memory ring had wrapped
+                                  ///< because a lane's memory window had
+                                  ///< wrapped
   uint64_t ack_waits = 0;         ///< responses that entered the ack gate
   uint64_t ack_degraded = 0;      ///< gates released as ok_async (deadline
                                   ///< hit, or too few subscribers attached)
@@ -360,9 +359,9 @@ class server {
   /// Replica chain-forwarding: publish a feed frame (its upstream lane
   /// stamp intact) at arrival time, before the owners apply it.
   void chain_forward(reactor& r, const frame& f);
-  /// Append a stamped frame to the WAL, copy it to every subscriber, and
-  /// record it in `ring` (null: no ring holds that lane).
-  void publish(reactor& r, const frame& f, uint64_t seq, replay_ring* ring);
+  /// Log a stamped frame (WAL, then the lane's memory window) and copy it
+  /// to every subscriber.
+  void publish(reactor& r, const frame& f, uint64_t seq);
   void forward_to_subs(reactor& r,
                        const std::shared_ptr<std::vector<uint8_t>>& bytes);
   void deliver_to_sub(sub_entry& s, const std::vector<uint8_t>& bytes);
@@ -486,6 +485,9 @@ class server {
   // owning reactor (or reactor 0 for feed lanes), read anywhere.
   std::array<std::atomic<uint64_t>, kMaxLanes> lane_seqs_{};
   std::atomic<uint32_t> lane_count_{1};
+  /// The stream's log in front of cfg_.durability.  Lane k's window is
+  /// written by reactor k (reactor 0 for feed lanes); readers run quiesced.
+  replay_ring log_;
   /// Next expected feed sequence per lane (reactor-0 state).
   std::map<uint32_t, uint64_t> feed_expected_by_lane_;
 

@@ -21,14 +21,14 @@
 //      With no checkpoint yet, `fallback` supplies the starting store
 //      (a legacy --snapshot, or a fresh one) and its covered sequence,
 //      and an initial checkpoint arms the directory.
-//   2. append(seq, bytes) — called from net::server::replicate() with the
-//      exact encoded wire frame; rotates segments by size and fsyncs per
-//      policy.  The WAL therefore holds every applied mutating batch,
+//   2. append(seq, bytes) — the replay log's push (net/replay_ring.h) with
+//      the exact encoded wire frame; rotates segments by size and fsyncs
+//      per policy.  The WAL therefore holds every applied mutating batch,
 //      auto-maintain's synthesized frames included, in stream order.
 //   3. checkpoint(store) when checkpoint_due() — fold the log into a new
 //      snapshot and truncate covered segments.
-//   4. covers()/encode_from() — serve a reconnecting replica's delta
-//      re-sync from disk when the in-memory replay ring has wrapped.
+//   4. covers()/encode_from() — asked by the replay log, whose disk tier
+//      this is, when a lane's memory window has wrapped past a resume.
 //
 // Sequence discipline: appends must arrive contiguously (replicate()
 // stamps them so).  A discontinuity — an unsupervised replica accepting a
@@ -119,8 +119,8 @@ class durability_engine {
   void sync();
 
   /// True when every frame in (after_seq, current_seq] can be replayed
-  /// from live segments — the disk-backed analogue of replay_ring::covers.
-  /// Both sequences must stamp the same lane.
+  /// from live segments — replay_ring::covers' disk tier.  Both sequences
+  /// must stamp the same lane.
   bool covers(uint64_t after_seq, uint64_t current_seq) const;
   /// Append the re-encoded frames of after_seq's lane above `after_seq`
   /// to `out` in lane order (byte-identical with the subscriber stream;

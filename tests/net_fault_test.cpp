@@ -5,6 +5,9 @@
 //     byte-identical to its primary;
 //   * a delta re-sync replays exactly the missed frames — no snapshot
 //     moves — while a wrapped replay ring forces the snapshot fallback;
+//   * a one-reactor replica of a four-reactor primary keeps a replay
+//     window for every feed lane within its budget, so its own replica
+//     re-syncs by delta;
 //   * a primary restarted from its snapshot is back at sequence 0, so a
 //     surviving replica's resume is answered by snapshot (never a bogus
 //     delta against a different lineage) and the replica re-attaches;
@@ -269,7 +272,8 @@ TEST(NetFault, DeltaResumeReplaysExactlyTheMissedFrames) {
 
   // Resume: granted as a delta — the store in hand stays, no snapshot
   // bytes move, and the promised replay range is exactly the gap.
-  auto rr = net::sync_resume("127.0.0.1", primary.srv.port(), last_applied);
+  auto rr = net::sync_resume("127.0.0.1", primary.srv.port(),
+                             std::span<const uint64_t>(&last_applied, 1));
   ASSERT_EQ(rr.kind, net::resync_kind::delta);
   EXPECT_FALSE(rr.store.has_value());
   EXPECT_EQ(rr.snapshot_bytes, 0u);
@@ -311,7 +315,8 @@ TEST(NetFault, WrappedReplayRingFallsBackToSnapshot) {
   for (size_t lo = 0; lo < missed.size(); lo += 4000)
     cli.insert(span.subspan(lo, 4000));
 
-  auto rr = net::sync_resume("127.0.0.1", primary.srv.port(), last_applied);
+  auto rr = net::sync_resume("127.0.0.1", primary.srv.port(),
+                             std::span<const uint64_t>(&last_applied, 1));
   ASSERT_EQ(rr.kind, net::resync_kind::snapshot);
   ASSERT_TRUE(rr.store.has_value());
   EXPECT_GT(rr.snapshot_bytes, 0u);
@@ -615,6 +620,99 @@ TEST(NetFault, MultiReactorFeedCutResyncsByLaneDelta) {
   primary.stop();
   EXPECT_EQ(store::serialize_store(replica.srv.store()),
             store::serialize_store(primary.srv.store()));
+}
+
+TEST(NetFault, ChainedSingleLoopReplicaServesLaneDelta) {
+  // Replica A runs one reactor but follows a 4-reactor primary, so it
+  // forwards four lanes to its own supervised replica B.  After a scripted
+  // cut on B's feed, A's replay log must cover every lane's gap — the
+  // lanes beyond A's reactor count included — and B re-syncs by delta.
+  fault_guard guard;
+  net::server_config pcfg;
+  pcfg.reactors = 4;
+  auto scfg = small_config();
+  scfg.num_shards = 8;
+  live_server primary{store::filter_store(scfg), pcfg};
+  auto cli = primary.connect();
+  auto keys = util::hashed_xorwow_items(60000, 2401);
+  std::span<const uint64_t> span(keys);
+
+  auto sa = net::sync_from("127.0.0.1", primary.srv.port());
+  live_server a(std::move(sa.store), replica_config(), std::move(sa.feed),
+                std::move(sa.dec), std::span<const uint64_t>(sa.lane_seqs));
+  auto sb = net::sync_from("127.0.0.1", a.srv.port());
+  ASSERT_EQ(sb.lane_seqs.size(), 4u);
+  net::fault_engine::instance().arm(
+      sb.feed.get(),
+      one_event(net::fault_kind::cut, net::fault_dir::recv, 30000));
+  live_server b(std::move(sb.store), supervised_config(a.srv.port()),
+                std::move(sb.feed), std::move(sb.dec),
+                std::span<const uint64_t>(sb.lane_seqs));
+
+  for (uint64_t k = 0; k < 3; ++k) {
+    auto phase = span.subspan(k * 20000, 20000);
+    for (size_t lo = 0; lo < phase.size(); lo += 4000)
+      cli.insert(phase.subspan(lo, 4000));
+    cli.erase(phase.subspan(0, 1000));
+    if (k == 0) {
+      ASSERT_TRUE(wait_until([&] { return b.srv.stats().feed_lost >= 1; }))
+          << "scripted cut never fired";
+    }
+  }
+
+  ASSERT_TRUE(converged(primary, a));
+  ASSERT_TRUE(converged(primary, b));
+  auto stats = b.srv.stats();
+  EXPECT_EQ(stats.feed_lost, 1u);
+  EXPECT_EQ(stats.resyncs_delta, 1u);     // A covered all four lanes
+  EXPECT_EQ(stats.resyncs_snapshot, 0u);  // no snapshot moved again
+  EXPECT_EQ(stats.feed_gaps, 0u);
+  EXPECT_EQ(a.srv.stats().deltas_served, 1u);
+
+  b.stop();
+  a.stop();
+  primary.stop();
+  EXPECT_EQ(store::serialize_store(b.srv.store()),
+            store::serialize_store(primary.srv.store()));
+}
+
+TEST(NetFault, FeedFollowerSplitsReplayBudgetAcrossLanes) {
+  // A 1-reactor replica of a 4-lane primary keeps one replay window per
+  // feed lane, and their total stays within replay_ring_bytes plus the
+  // newest frame of each lane (which is kept even when over budget).
+  constexpr size_t kBudget = size_t{1} << 16;
+  constexpr size_t kBatch = 4000;
+  net::server_config pcfg;
+  pcfg.reactors = 4;
+  auto scfg = small_config(1 << 18);
+  scfg.num_shards = 8;
+  live_server primary{store::filter_store(scfg), pcfg};
+  auto cli = primary.connect();
+
+  auto sr = net::sync_from("127.0.0.1", primary.srv.port());
+  net::server_config rcfg = replica_config();
+  rcfg.replay_ring_bytes = kBudget;
+  live_server replica(std::move(sr.store), std::move(rcfg),
+                      std::move(sr.feed), std::move(sr.dec),
+                      std::span<const uint64_t>(sr.lane_seqs));
+
+  // A burst of 40 batches: ten times the budget crosses every lane.
+  auto keys = util::hashed_xorwow_items(40 * kBatch, 2501);
+  std::span<const uint64_t> span(keys);
+  for (size_t lo = 0; lo < keys.size(); lo += kBatch)
+    cli.insert(span.subspan(lo, kBatch));
+  ASSERT_TRUE(converged(primary, replica));
+
+  const std::string json = replica.connect().stats_json();
+  const std::string field = "\"ring_bytes\":";
+  const size_t at = json.find(field);
+  ASSERT_NE(at, std::string::npos);
+  const size_t ring_bytes = std::stoull(json.substr(at + field.size()));
+  // No lane frame carries more keys than the client batch did.
+  const size_t newest_max = net::kFrameOverhead + kBatch * 8;
+  EXPECT_LE(ring_bytes, kBudget + 4 * newest_max);
+  // The windows still use the budget: more than two lanes' shares.
+  EXPECT_GT(ring_bytes, kBudget / 2);
 }
 
 TEST(NetFault, MultiReactorPrimarySigkillWalRecovery) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <span>
 #include <vector>
 
 #include "net/codec.h"
@@ -436,4 +437,43 @@ TEST(NetFrame, SyncShapes) {
   bad.shard_hint = 0;
   bad.payload.resize(net::kSyncChunk0Header - 1);
   EXPECT_NE(net::validate_response(bad), nullptr);
+}
+
+TEST(NetFrame, OneLaneResumeAndDeltaKeepThePreLaneLayout) {
+  // A one-lane resume request is the pre-lane scalar request: the resume
+  // hint, no key count, and one 8-byte last-applied sequence.
+  const uint64_t last = 0x0123456789ABCDEFull;
+  const std::vector<uint8_t> req =
+      net::encode_sync_resume_request(5, std::span<const uint64_t>(&last, 1));
+  ASSERT_EQ(req.size(), net::kFrameOverhead + 8);
+  EXPECT_EQ(net::get_u32(req.data() + 12), net::kSyncResumeHint);
+  EXPECT_EQ(net::get_u32(req.data() + 16), 0u);
+  EXPECT_EQ(net::get_u64(req.data() + 20), 5u);
+  EXPECT_EQ(net::get_u64(req.data() + 28), last);
+  frame rf = decode_one(req);
+  EXPECT_EQ(rf.op, opcode::sync);
+  EXPECT_EQ(net::validate_request(rf), nullptr);
+  EXPECT_EQ(net::decode_sync_resume_lanes(rf), std::vector<uint64_t>{last});
+
+  // A one-lane delta accept is the pre-lane scalar (resume_from, upto)
+  // pair: 16 payload bytes under the delta hint.
+  const net::sync_delta_header span{41, 97};
+  const std::vector<uint8_t> acc = net::encode_sync_delta_response(
+      6, std::span<const net::sync_delta_header>(&span, 1));
+  ASSERT_EQ(acc.size(), net::kFrameOverhead + 16);
+  EXPECT_EQ(net::get_u32(acc.data() + 12), net::kSyncDeltaHint);
+  EXPECT_EQ(net::get_u32(acc.data() + 16), 0u);
+  EXPECT_EQ(net::get_u64(acc.data() + 20), 6u);
+  EXPECT_EQ(net::get_u64(acc.data() + 28), 41u);
+  EXPECT_EQ(net::get_u64(acc.data() + 36), 97u);
+  frame af = decode_one(acc);
+  EXPECT_EQ(net::validate_response(af), nullptr);
+  const auto lanes = net::decode_sync_delta_lanes(af);
+  ASSERT_EQ(lanes.size(), 1u);
+  EXPECT_EQ(lanes[0].resume_from, 41u);
+  EXPECT_EQ(lanes[0].upto, 97u);
+
+  // A payload that is not a whole number of lanes is malformed.
+  af.payload.resize(12);
+  EXPECT_NE(net::validate_response(af), nullptr);
 }

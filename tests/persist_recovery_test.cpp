@@ -263,7 +263,8 @@ TEST(PersistRecovery, WrappedRingResumeServedAsDeltaFromDiskWal) {
   for (size_t lo = 0; lo < missed.size(); lo += 4000)
     cli.insert(span.subspan(lo, 4000));
 
-  auto rr = net::sync_resume("127.0.0.1", primary.srv.port(), last_applied);
+  auto rr = net::sync_resume("127.0.0.1", primary.srv.port(),
+                             std::span<const uint64_t>(&last_applied, 1));
   ASSERT_EQ(rr.kind, net::resync_kind::delta)
       << "wrapped ring should have been backstopped by the WAL";
   EXPECT_FALSE(rr.store.has_value());

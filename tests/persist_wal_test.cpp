@@ -3,7 +3,9 @@
 // drills, a checkpoint whose header disagrees with the manifest, and
 // byte-identity of the recovered store against a never-crashed control on
 // every backend.  No sockets here — the engine is exercised directly;
-// tests/persist_recovery_test.cpp covers the server integration.
+// tests/persist_recovery_test.cpp covers the server integration.  The
+// replay log (net/replay_ring.h) is tested here with this engine as its
+// disk tier.
 #include <gtest/gtest.h>
 #include <sys/stat.h>
 #include <sys/wait.h>
@@ -16,6 +18,8 @@
 #include <vector>
 
 #include "net/codec.h"
+#include "net/lane.h"
+#include "net/replay_ring.h"
 #include "persist/durability.h"
 #include "persist/wal.h"
 #include "store/store.h"
@@ -576,6 +580,90 @@ TEST(PersistWal, ResetDropsTheOldLineage) {
   EXPECT_EQ(again.last_seq(), 101u);
   EXPECT_EQ(again.stats().recovery_replayed_frames, 1u);
   EXPECT_EQ(recovered.count_contained(keys_for(777, 32)), 32u);
+  std::filesystem::remove_all(dir);
+}
+
+// -- The replay log's disk tier ----------------------------------------------
+
+TEST(PersistWal, ReplayLogServesMemoryThenDiskThenNeither) {
+  // A replay log whose memory windows hold three frames per lane, with
+  // this engine behind it: push writes both tiers, and a resume is served
+  // from memory while the window reaches back, from disk once it has
+  // wrapped, and by neither below the checkpoint.
+  using tier = net::replay_ring::tier;
+  const std::string dir = fresh_dir("log");
+  durability_engine eng(small_wal(dir));
+  auto st = eng.recover(fresh_boot(backend_kind::tcf));
+  const size_t frame_bytes = insert_frame(1, keys_for(1)).size();
+  net::replay_ring log(3 * frame_bytes, &eng);
+
+  std::vector<std::vector<uint8_t>> wire(1);  // wire[seq]: lane 0 frame
+  auto push_lane0 = [&](uint64_t seq) {
+    auto keys = keys_for(seq);
+    st.insert_bulk(keys);
+    wire.push_back(insert_frame(seq, keys));
+    log.push(seq, wire.back());
+  };
+  auto stream_after = [&](uint64_t after, uint64_t upto) {
+    std::vector<uint8_t> bytes;
+    for (uint64_t seq = after + 1; seq <= upto; ++seq)
+      bytes.insert(bytes.end(), wire[seq].begin(), wire[seq].end());
+    return bytes;
+  };
+  for (uint64_t seq = 1; seq <= 3; ++seq) push_lane0(seq);
+  EXPECT_EQ(eng.last_seq(), 3u) << "push must append to the WAL";
+
+  std::vector<uint8_t> out;
+  tier used = tier::disk;
+  EXPECT_TRUE(log.covers(0, 3));
+  EXPECT_EQ(log.encode_from(0, out, &used), 3u);
+  EXPECT_EQ(used, tier::memory);
+  EXPECT_EQ(out, stream_after(0, 3));
+
+  // Wrap the window: it keeps 6..8, the WAL keeps everything.
+  for (uint64_t seq = 4; seq <= 8; ++seq) push_lane0(seq);
+  EXPECT_EQ(log.first_seq(), 6u);
+  EXPECT_EQ(log.bytes(), 3 * frame_bytes);
+  out.clear();
+  EXPECT_TRUE(log.covers(5, 8));
+  EXPECT_EQ(log.encode_from(5, out, &used), 3u);
+  EXPECT_EQ(used, tier::memory);
+  EXPECT_EQ(out, stream_after(5, 8));
+  out.clear();
+  EXPECT_TRUE(log.covers(1, 8));
+  EXPECT_EQ(log.encode_from(1, out, &used), 7u);
+  EXPECT_EQ(used, tier::disk);
+  EXPECT_EQ(out, stream_after(1, 8)) << "disk tier diverged from the stream";
+
+  // Below the checkpoint neither tier holds the gap; the window still
+  // serves what it holds.
+  eng.checkpoint(st);
+  EXPECT_FALSE(log.covers(1, 8));
+  EXPECT_TRUE(log.covers(5, 8));
+
+  // Lane 1 fills and wraps its own window; lane 0's is untouched.
+  for (uint64_t n = 1; n <= 6; ++n) {
+    const uint64_t seq = net::lane_seq(1, n);
+    log.push(seq, insert_frame(seq, keys_for(100 + n)));
+  }
+  EXPECT_EQ(log.first_seq(0), 6u);
+  EXPECT_EQ(log.first_seq(1), net::lane_seq(1, 4));
+  EXPECT_EQ(log.size(), 6u);
+  EXPECT_FALSE(log.covers(1, net::lane_seq(1, 6))) << "lanes must not mix";
+  out.clear();
+  EXPECT_TRUE(log.covers(net::lane_seq(1, 3), net::lane_seq(1, 6)));
+  EXPECT_EQ(log.encode_from(net::lane_seq(1, 3), out, &used), 3u);
+  EXPECT_EQ(used, tier::memory);
+  out.clear();
+  EXPECT_TRUE(log.covers(net::lane_seq(1, 0), net::lane_seq(1, 6)));
+  EXPECT_EQ(log.encode_from(net::lane_seq(1, 0), out, &used), 6u);
+  EXPECT_EQ(used, tier::disk);
+
+  // Re-splitting the budget across three lanes leaves one frame a window.
+  log.split(3);
+  EXPECT_EQ(log.size(), 2u);
+  EXPECT_EQ(log.first_seq(0), 8u);
+  EXPECT_EQ(log.first_seq(1), net::lane_seq(1, 6));
   std::filesystem::remove_all(dir);
 }
 

@@ -39,6 +39,17 @@ Checks enforced:
    header; a direct use elsewhere silently bypasses the choice.  Comments
    are not checked.
 
+6. one-replication-log: in src/net/, only replay_ring.cpp calls the
+   durability engine's append / covers / encode_from, and the server holds
+   exactly one replay_ring (server.h's log), never one per reactor.  The
+   log is the replication stream's only record: it writes the WAL before
+   its memory window, and it alone decides which tier serves a resume.  A
+   second caller or ring would be a second answer to "frames after X"
+   that can disagree with the first.  The engine is found
+   through the `durability` config field and any name declared as a
+   durability_engine pointer or reference in the same file.  Comments are
+   not checked.
+
 Exit status: 0 clean, 1 violations (printed one per line as
 file:line: message).
 """
@@ -71,6 +82,14 @@ EXPOSITION_RE = re.compile(r"exposition:")
 BIT_PRIMITIVE_RE = re.compile(
     r"std::popcount\b|__builtin_popcount\w*|\b_pdep_u64\b|\b__BMI2__\b")
 BIT_PRIMITIVE_HOME = REPO / "src" / "util" / "bits.h"
+LOG_HOME = REPO / "src" / "net" / "replay_ring.cpp"
+ENGINE_DECL_RE = re.compile(r"durability_engine\s*[*&]\s*(\w+)")
+ENGINE_CALL = r"\s*(?:->|\.)\s*(?:append|covers|encode_from)\s*\("
+# A replay_ring object: `replay_ring name;`/`(`/`{`/`=`, or a container of
+# them (`vector<replay_ring>`, `unique_ptr<replay_ring>`, ...).
+RING_DECL_RE = re.compile(r"\breplay_ring\s*>|\breplay_ring\s+\w+\s*[;({=]")
+SERVER_FILES = (REPO / "src" / "net" / "server.h",
+                REPO / "src" / "net" / "server.cpp")
 # A new function starts at an unindented definition line ("inline ...",
 # "class ...", templates, etc.) — good enough to scope the codec check.
 FUNC_START_RE = re.compile(r"^[a-zA-Z/]")
@@ -141,6 +160,40 @@ def check_bit_primitive_home(path: Path, lines: list[str],
             )
 
 
+def check_one_log_caller(path: Path, lines: list[str],
+                         errors: list[str]) -> None:
+    if path == LOG_HOME:
+        return
+    code = [line.split("//", 1)[0] for line in lines]
+    names = {"durability"}
+    for line in code:
+        names.update(ENGINE_DECL_RE.findall(line))
+    call_re = re.compile(rf"\b(?:{'|'.join(sorted(names))})\b{ENGINE_CALL}")
+    for i, line in enumerate(code):
+        if call_re.search(line):
+            errors.append(
+                f"{path.relative_to(REPO)}:{i + 1}: durability engine "
+                f"append/covers/encode_from outside replay_ring.cpp (the "
+                f"replay log is the stream's one record; go through it)"
+            )
+
+
+def check_one_server_ring(errors: list[str]) -> None:
+    seen = 0
+    for path in SERVER_FILES:
+        lines = path.read_text(encoding="utf-8").splitlines()
+        for i, line in enumerate(lines):
+            if not RING_DECL_RE.search(line.split("//", 1)[0]):
+                continue
+            seen += 1
+            if path.suffix == ".cpp" or seen > 1:
+                errors.append(
+                    f"{path.relative_to(REPO)}:{i + 1}: replay_ring besides "
+                    f"server.h's log_ (the server holds one log with one "
+                    f"window per lane, not one ring per reactor)"
+                )
+
+
 def check_codec_narrowing(path: Path, lines: list[str],
                           errors: list[str]) -> None:
     func_start = 0
@@ -169,6 +222,8 @@ def main() -> int:
         check_bit_primitive_home(path, lines, errors)
         if path.parent == REPO / "src" / "net":
             check_one_frame_path(path, lines, errors)
+            check_one_log_caller(path, lines, errors)
+    check_one_server_ring(errors)
 
     codec = REPO / "src" / "net" / "codec.h"
     check_codec_narrowing(codec, codec.read_text(encoding="utf-8").splitlines(),
