@@ -60,7 +60,153 @@ std::string peer_ip(int fd) {
     throw std::runtime_error("gf: inet_ntop failed");
   return buf;
 }
+
+// -- Fact tables --------------------------------------------------------------
+// Every single-field fact is declared once, as a row: its reader, metric
+// name, labels and kind, and its STATS JSON place.  register_metrics(),
+// stats() and stats_json_text() are loops over the rows; only facts that
+// are not one field are written out by hand.
+
+/// How a fact renders in the scrape: a counter or an exact integer gauge.
+/// A flag is a 0/1 gauge that STATS JSON shows as a bool.
+enum fact_kind : uint8_t { kCounter, kGauge, kFlag };
+
+/// The STATS JSON section a server fact shows in; scrape-only has none.
+enum json_section : uint8_t { kScrapeOnly, kServer, kReplication };
+
+void add_fact(obs::metrics_registry& reg, const char* metric,
+              const char* labels, fact_kind kind,
+              obs::metrics_registry::counter_fn read) {
+  if (kind == kCounter)
+    reg.add_counter(metric, labels, std::move(read));
+  else
+    reg.add_int_gauge(metric, labels, std::move(read));
+}
+
+/// The durability engine's facts (present with a WAL armed): the scrape
+/// and the STATS "durability" section read the same field.
+struct wal_fact {
+  uint64_t persist::durability_stats::* field;
+  const char* metric;
+  fact_kind kind;
+  const char* key;
+};
+using wal_stats = persist::durability_stats;
+constexpr wal_fact kWalFacts[] = {
+    {&wal_stats::wal_bytes, "gf_wal_bytes_total", kCounter, "wal_bytes"},
+    {&wal_stats::wal_frames, "gf_wal_frames_total", kCounter, "wal_frames"},
+    {&wal_stats::wal_fsyncs, "gf_wal_fsyncs_total", kCounter, "wal_fsyncs"},
+    {&wal_stats::wal_segments, "gf_wal_segments", kGauge, "wal_segments"},
+    {&wal_stats::segments_rotated, "gf_wal_segments_rotated_total", kCounter,
+     "segments_rotated"},
+    {&wal_stats::last_seq, "gf_wal_last_seq", kGauge, "wal_last_seq"},
+    {&wal_stats::checkpoints, "gf_checkpoints_total", kCounter, "checkpoints"},
+    {&wal_stats::checkpoint_seq, "gf_checkpoint_seq", kGauge,
+     "checkpoint_seq"},
+    {&wal_stats::checkpoint_bytes, "gf_checkpoint_bytes", kGauge,
+     "checkpoint_bytes"},
+    {&wal_stats::recovery_replayed_frames, "gf_recovery_replayed_frames",
+     kGauge, "recovery_replayed_frames"},
+    {&wal_stats::recovery_truncated_bytes, "gf_recovery_truncated_bytes",
+     kGauge, "recovery_truncated_bytes"},
+    {&wal_stats::recovery_gaps, "gf_recovery_gaps", kGauge, "recovery_gaps"},
+};
+
+/// The store's GF_COUNT structural counters (util/counters.h): always
+/// registered, 0 unless the build sets GF_ENABLE_COUNTERS.
+struct filter_fact {
+  std::atomic<uint64_t> util::op_counters::* field;
+  const char* metric;
+};
+using opc = util::op_counters;
+constexpr filter_fact kFilterFacts[] = {
+    {&opc::cache_lines_touched, "gf_filter_cache_lines_touched_total"},
+    {&opc::cas_attempts, "gf_filter_cas_attempts_total"},
+    {&opc::cas_failures, "gf_filter_cas_failures_total"},
+    {&opc::backing_inserts, "gf_filter_backing_inserts_total"},
+    {&opc::shortcut_inserts, "gf_filter_shortcut_inserts_total"},
+    {&opc::ballot_rounds, "gf_filter_ballot_rounds_total"},
+    {&opc::slots_shifted, "gf_filter_slots_shifted_total"},
+};
 }  // namespace
+
+using snap = server_stats;
+/// One server atomic, counter or gauge: the server_stats field it
+/// snapshots into, its metric, and its STATS JSON key (the field's name).
+struct server::fact {
+  std::atomic<uint64_t> server::* atom;
+  uint64_t server_stats::* field;
+  fact_kind kind;
+  const char* metric;
+  const char* labels;
+  json_section section;
+  const char* key;
+};
+
+const server::fact server::kFacts[] = {
+    // Wire plane.
+    {&server::accepted_, &snap::connections_accepted, kCounter,
+     "gf_server_connections_total", "event=\"accepted\"", kScrapeOnly,
+     "connections_accepted"},
+    {&server::closed_, &snap::connections_closed, kCounter,
+     "gf_server_connections_total", "event=\"closed\"", kScrapeOnly,
+     "connections_closed"},
+    {&server::frames_, &snap::frames_served, kCounter,
+     "gf_server_frames_total", "", kServer, "frames_served"},
+    {&server::keys_, &snap::keys_processed, kCounter,
+     "gf_server_keys_total", "", kServer, "keys_processed"},
+    {&server::protocol_errors_, &snap::protocol_errors, kCounter,
+     "gf_server_protocol_errors_total", "", kServer, "protocol_errors"},
+    {&server::bytes_in_, &snap::bytes_in, kCounter,
+     "gf_server_bytes_total", "dir=\"in\"", kServer, "bytes_in"},
+    {&server::bytes_out_, &snap::bytes_out, kCounter,
+     "gf_server_bytes_total", "dir=\"out\"", kServer, "bytes_out"},
+    // Replication plane, primary side.
+    {&server::subscribers_, &snap::subscribers, kGauge,
+     "gf_repl_subscribers", "", kReplication, "subscribers"},
+    {&server::frames_forwarded_, &snap::frames_forwarded, kCounter,
+     "gf_repl_frames_forwarded_total", "", kReplication, "frames_forwarded"},
+    {&server::subscriber_acked_, &snap::subscriber_acked, kGauge,
+     "gf_repl_subscriber_acked", "", kReplication, "subscriber_acked"},
+    {&server::subscriber_drops_, &snap::subscriber_drops, kCounter,
+     "gf_repl_dropped_subscribers_total", "", kReplication, "subscriber_drops"},
+    {&server::subscriber_errors_, &snap::subscriber_errors, kCounter,
+     "gf_repl_subscriber_errors_total", "", kReplication, "subscriber_errors"},
+    {&server::invites_failed_, &snap::invites_failed, kCounter,
+     "gf_repl_invites_failed_total", "", kScrapeOnly, "invites_failed"},
+    {&server::deltas_served_, &snap::deltas_served, kCounter,
+     "gf_repl_deltas_served_total", "", kReplication, "deltas_served"},
+    {&server::wal_deltas_served_, &snap::wal_deltas_served, kCounter,
+     "gf_repl_wal_deltas_served_total", "", kReplication, "wal_deltas_served"},
+    {&server::ack_waits_, &snap::ack_waits, kCounter,
+     "gf_repl_ack_waits_total", "", kReplication, "ack_waits"},
+    {&server::ack_degraded_, &snap::ack_degraded, kCounter,
+     "gf_repl_ack_degraded_total", "", kReplication, "ack_degraded"},
+    // Replication plane, replica side.
+    {&server::feed_attached_, &snap::feed_attached, kFlag,
+     "gf_repl_feed_attached", "", kReplication, "feed_attached"},
+    {&server::feed_last_seq_, &snap::feed_last_seq, kGauge,
+     "gf_repl_feed_last_seq", "", kReplication, "feed_last_seq"},
+    {&server::feed_applied_, &snap::feed_applied, kCounter,
+     "gf_repl_feed_applied_total", "", kReplication, "feed_applied"},
+    {&server::feed_gaps_, &snap::feed_gaps, kCounter,
+     "gf_repl_feed_gaps_total", "", kReplication, "feed_gaps"},
+    {&server::feed_lost_, &snap::feed_lost, kCounter,
+     "gf_repl_feed_lost_total", "", kReplication, "feed_lost"},
+    {&server::feed_reconnects_, &snap::feed_reconnects, kCounter,
+     "gf_repl_reconnects_total", "", kReplication, "feed_reconnects"},
+    {&server::reconnect_failures_, &snap::reconnect_failures, kCounter,
+     "gf_repl_reconnect_failures_total", "", kReplication,
+     "reconnect_failures"},
+    {&server::resyncs_delta_, &snap::resyncs_delta, kCounter,
+     "gf_repl_resyncs_total", "kind=\"delta\"", kReplication, "resyncs_delta"},
+    {&server::resyncs_snapshot_, &snap::resyncs_snapshot, kCounter,
+     "gf_repl_resyncs_total", "kind=\"snapshot\"", kReplication,
+     "resyncs_snapshot"},
+    {&server::read_only_refusals_, &snap::read_only_refusals, kCounter,
+     "gf_server_read_only_refusals_total", "", kReplication,
+     "read_only_refusals"},
+};
 
 struct server::connection {
   /// What the frames on this connection mean:
@@ -265,35 +411,22 @@ void server::register_metrics() {
   };
 
   // Build identity and uptime.
-  registry_.add_gauge(
+  registry_.add_int_gauge(
       "gf_build_info",
       std::string("version=\"") + obs::kVersion + "\",compiler=\"" +
           obs::metrics_registry::escape_label_value(obs::kCompiler) +
           "\",build=\"" + obs::kBuildType + "\"",
-      [] { return 1.0; });
+      [] { return uint64_t{1}; });
   registry_.add_gauge("gf_uptime_seconds", "", [this] {
     return static_cast<double>(obs::now_ns() - start_ns_) / 1e9;
   });
 
-  // Wire plane.
-  registry_.add_counter("gf_server_frames_total", "",
-                        [this, relaxed] { return relaxed(frames_); });
-  registry_.add_counter("gf_server_keys_total", "",
-                        [this, relaxed] { return relaxed(keys_); });
-  registry_.add_counter("gf_server_protocol_errors_total", "",
-                        [this, relaxed] { return relaxed(protocol_errors_); });
-  registry_.add_counter("gf_server_bytes_total", "dir=\"in\"",
-                        [this, relaxed] { return relaxed(bytes_in_); });
-  registry_.add_counter("gf_server_bytes_total", "dir=\"out\"",
-                        [this, relaxed] { return relaxed(bytes_out_); });
-  registry_.add_counter("gf_server_connections_total", "event=\"accepted\"",
-                        [this, relaxed] { return relaxed(accepted_); });
-  registry_.add_counter("gf_server_connections_total", "event=\"closed\"",
-                        [this, relaxed] { return relaxed(closed_); });
-  registry_.add_counter("gf_server_read_only_refusals_total", "",
-                        [this, relaxed] {
-                          return relaxed(read_only_refusals_);
-                        });
+  // The server's atomics, one fact row each.
+  for (const fact& f : kFacts) {
+    const std::atomic<uint64_t>* a = &(this->*f.atom);
+    add_fact(registry_, f.metric, f.labels, f.kind,
+             [a, relaxed] { return relaxed(*a); });
+  }
   // Process-wide pool launches by how they ran (gpu/thread_pool.h).
   registry_.add_counter("gf_pool_launches_total", "mode=\"parallel\"", [] {
     return gpu::thread_pool::instance().launches().parallel;
@@ -314,60 +447,18 @@ void server::register_metrics() {
     return n;
   });
 
-  // Replication plane.
-  registry_.add_counter("gf_repl_frames_forwarded_total", "",
-                        [this, relaxed] { return relaxed(frames_forwarded_); });
-  registry_.add_counter("gf_repl_dropped_subscribers_total", "",
-                        [this, relaxed] { return relaxed(subscriber_drops_); });
-  registry_.add_counter("gf_repl_subscriber_errors_total", "",
-                        [this, relaxed] {
-                          return relaxed(subscriber_errors_);
-                        });
-  registry_.add_counter("gf_repl_invites_failed_total", "",
-                        [this, relaxed] { return relaxed(invites_failed_); });
-  registry_.add_counter("gf_repl_feed_applied_total", "",
-                        [this, relaxed] { return relaxed(feed_applied_); });
-  registry_.add_counter("gf_repl_feed_gaps_total", "",
-                        [this, relaxed] { return relaxed(feed_gaps_); });
-  registry_.add_counter("gf_repl_feed_lost_total", "",
-                        [this, relaxed] { return relaxed(feed_lost_); });
-  registry_.add_counter("gf_repl_reconnects_total", "",
-                        [this, relaxed] { return relaxed(feed_reconnects_); });
-  registry_.add_counter("gf_repl_reconnect_failures_total", "",
-                        [this, relaxed] {
-                          return relaxed(reconnect_failures_);
-                        });
-  registry_.add_counter("gf_repl_resyncs_total", "kind=\"delta\"",
-                        [this, relaxed] { return relaxed(resyncs_delta_); });
-  registry_.add_counter("gf_repl_resyncs_total", "kind=\"snapshot\"",
-                        [this, relaxed] { return relaxed(resyncs_snapshot_); });
-  registry_.add_counter("gf_repl_deltas_served_total", "",
-                        [this, relaxed] { return relaxed(deltas_served_); });
-  registry_.add_counter("gf_repl_ack_waits_total", "",
-                        [this, relaxed] { return relaxed(ack_waits_); });
-  registry_.add_counter("gf_repl_ack_degraded_total", "",
-                        [this, relaxed] { return relaxed(ack_degraded_); });
-  registry_.add_gauge("gf_repl_replay_ring_bytes", "", [this] {
-    return static_cast<double>(log_.bytes());
-  });
-  registry_.add_gauge("gf_repl_replay_ring_frames", "", [this] {
-    return static_cast<double>(log_.size());
-  });
-  registry_.add_gauge("gf_repl_seq", "", [this] {
-    return static_cast<double>(repl_position());
-  });
-  registry_.add_gauge("gf_repl_subscribers", "", [this, relaxed] {
-    return static_cast<double>(relaxed(subscribers_));
-  });
-  registry_.add_gauge("gf_repl_subscriber_acked", "", [this, relaxed] {
-    return static_cast<double>(relaxed(subscriber_acked_));
-  });
+  // Replication plane: the stream position and the replay log's windows.
+  registry_.add_int_gauge("gf_repl_replay_ring_bytes", "",
+                          [this] { return log_.bytes(); });
+  registry_.add_int_gauge("gf_repl_replay_ring_frames", "",
+                          [this] { return log_.size(); });
+  registry_.add_int_gauge("gf_repl_seq", "",
+                          [this] { return repl_position(); });
   // Lag: stream positions the slowest live subscriber still owes us.
-  registry_.add_gauge("gf_repl_lag_frames", "", [this, relaxed] {
-    if (relaxed(subscribers_) == 0) return 0.0;
+  registry_.add_int_gauge("gf_repl_lag_frames", "", [this, relaxed] {
     const uint64_t seq = repl_position();
     const uint64_t acked = relaxed(subscriber_acked_);
-    return seq > acked ? static_cast<double>(seq - acked) : 0.0;
+    return relaxed(subscribers_) == 0 || seq <= acked ? 0 : seq - acked;
   });
   // Ack age: seconds since any subscriber last acknowledged progress.
   registry_.add_gauge("gf_repl_ack_age_seconds", "", [this, relaxed] {
@@ -375,55 +466,15 @@ void server::register_metrics() {
     if (relaxed(subscribers_) == 0 || last == 0) return 0.0;
     return static_cast<double>(obs::now_ns() - last) / 1e9;
   });
-  registry_.add_gauge("gf_repl_feed_attached", "", [this, relaxed] {
-    return static_cast<double>(relaxed(feed_attached_));
-  });
-  registry_.add_gauge("gf_repl_feed_last_seq", "", [this, relaxed] {
-    return static_cast<double>(relaxed(feed_last_seq_));
-  });
-  registry_.add_counter("gf_repl_wal_deltas_served_total", "",
-                        [this, relaxed] {
-                          return relaxed(wal_deltas_served_);
-                        });
 
   // Durability plane (src/persist/): registered only when a WAL is armed —
   // the engine's counters are loop-thread plain fields, and scrapes render
   // on the loop (metrics_text's threading contract).
   if (cfg_.durability != nullptr) {
     persist::durability_engine* d = cfg_.durability;
-    registry_.add_counter("gf_wal_bytes_total", "", [d] {
-      return static_cast<double>(d->stats().wal_bytes);
-    });
-    registry_.add_counter("gf_wal_frames_total", "", [d] {
-      return static_cast<double>(d->stats().wal_frames);
-    });
-    registry_.add_counter("gf_wal_fsyncs_total", "", [d] {
-      return static_cast<double>(d->stats().wal_fsyncs);
-    });
-    registry_.add_counter("gf_wal_segments_rotated_total", "", [d] {
-      return static_cast<double>(d->stats().segments_rotated);
-    });
-    registry_.add_counter("gf_checkpoints_total", "", [d] {
-      return static_cast<double>(d->stats().checkpoints);
-    });
-    registry_.add_gauge("gf_wal_segments", "", [d] {
-      return static_cast<double>(d->stats().wal_segments);
-    });
-    registry_.add_gauge("gf_wal_last_seq", "", [d] {
-      return static_cast<double>(d->stats().last_seq);
-    });
-    registry_.add_gauge("gf_checkpoint_seq", "", [d] {
-      return static_cast<double>(d->stats().checkpoint_seq);
-    });
-    registry_.add_gauge("gf_checkpoint_bytes", "", [d] {
-      return static_cast<double>(d->stats().checkpoint_bytes);
-    });
-    registry_.add_gauge("gf_recovery_replayed_frames", "", [d] {
-      return static_cast<double>(d->stats().recovery_replayed_frames);
-    });
-    registry_.add_gauge("gf_recovery_truncated_bytes", "", [d] {
-      return static_cast<double>(d->stats().recovery_truncated_bytes);
-    });
+    for (const wal_fact& f : kWalFacts)
+      add_fact(registry_, f.metric, "", f.kind,
+               [d, field = f.field] { return d->stats().*field; });
     registry_.add_histogram("gf_wal_fsync_ns", "", d->fsync_hist());
     registry_.add_histogram("gf_checkpoint_duration_ns", "",
                             d->checkpoint_hist());
@@ -431,86 +482,39 @@ void server::register_metrics() {
 
   // Store aggregates (walk the shards at render time — a scrape does what
   // one STATS report does).
-  auto sum_stats = [this](uint64_t util::op_stats::snapshot::* field) {
-    uint64_t n = 0;
-    for (uint32_t s = 0; s < store_.num_shards(); ++s)
-      n += store_.shard_at(s).stats().*field;
-    return n;
-  };
-  using snap = util::op_stats::snapshot;
-  registry_.add_counter("gf_store_inserts_total", "",
-                        [sum_stats] { return sum_stats(&snap::inserts); });
-  registry_.add_counter("gf_store_insert_failures_total", "", [sum_stats] {
-    return sum_stats(&snap::insert_failures);
-  });
-  registry_.add_counter("gf_store_queries_total", "",
-                        [sum_stats] { return sum_stats(&snap::queries); });
-  registry_.add_counter("gf_store_query_hits_total", "",
-                        [sum_stats] { return sum_stats(&snap::query_hits); });
-  registry_.add_counter("gf_store_erases_total", "",
-                        [sum_stats] { return sum_stats(&snap::erases); });
-  registry_.add_counter("gf_store_erase_failures_total", "", [sum_stats] {
-    return sum_stats(&snap::erase_failures);
-  });
-  registry_.add_counter("gf_store_batches_drained_total", "", [sum_stats] {
-    return sum_stats(&snap::batches_drained);
-  });
+  for (const store::op_stat_fact& f : store::kOpStatFacts)
+    registry_.add_counter(f.metric, "", [this, field = f.field] {
+      uint64_t n = 0;
+      for (uint32_t s = 0; s < store_.num_shards(); ++s)
+        n += store_.shard_at(s).stats().*field;
+      return n;
+    });
   // relaxed: metrics scrape of a monotone gauge; staleness is acceptable.
   registry_.add_counter("gf_store_overflow_answered_total", "", [this] {
     return store_.metrics().overflow_answered.load(std::memory_order_relaxed);
   });
-  registry_.add_gauge("gf_store_items", "", [this] {
-    return static_cast<double>(store_.size());
-  });
-  registry_.add_gauge("gf_store_provisioned_capacity", "", [this] {
-    return static_cast<double>(store_.provisioned_capacity());
-  });
-  registry_.add_gauge("gf_store_memory_bytes", "", [this] {
-    return static_cast<double>(store_.memory_bytes());
-  });
+  registry_.add_int_gauge("gf_store_items", "",
+                          [this] { return store_.size(); });
+  registry_.add_int_gauge("gf_store_provisioned_capacity", "",
+                          [this] { return store_.provisioned_capacity(); });
+  registry_.add_int_gauge("gf_store_memory_bytes", "",
+                          [this] { return store_.memory_bytes(); });
   registry_.add_gauge("gf_store_load_factor", "",
                       [this] { return store_.load_factor(); });
-  registry_.add_gauge("gf_store_shards", "", [this] {
-    return static_cast<double>(store_.num_shards());
-  });
-  registry_.add_gauge("gf_store_cascade_max_depth", "", [this] {
+  registry_.add_int_gauge("gf_store_shards", "",
+                          [this] { return store_.num_shards(); });
+  registry_.add_int_gauge("gf_store_cascade_max_depth", "", [this] {
     uint32_t depth = 0;
     for (uint32_t s = 0; s < store_.num_shards(); ++s)
       depth = std::max(depth, store_.shard_at(s).level_count());
-    return static_cast<double>(depth);
+    return depth;
   });
-
-  // Structural GF_COUNT counters, scoped to this server's store.  Always
-  // registered (stable schema); they stay 0 unless the build sets
-  // GF_ENABLE_COUNTERS.
-  // relaxed: metrics scrape of a monotone gauge; staleness is acceptable.
-  auto gf_count = [this](std::atomic<uint64_t> util::op_counters::* field) {
-    return (store_.metrics().gf_counters.*field)
-        .load(std::memory_order_relaxed);
-  };
-  using opc = util::op_counters;
-  registry_.add_counter("gf_filter_cache_lines_touched_total", "",
-                        [gf_count] {
-                          return gf_count(&opc::cache_lines_touched);
-                        });
-  registry_.add_counter("gf_filter_cas_attempts_total", "", [gf_count] {
-    return gf_count(&opc::cas_attempts);
-  });
-  registry_.add_counter("gf_filter_cas_failures_total", "", [gf_count] {
-    return gf_count(&opc::cas_failures);
-  });
-  registry_.add_counter("gf_filter_backing_inserts_total", "", [gf_count] {
-    return gf_count(&opc::backing_inserts);
-  });
-  registry_.add_counter("gf_filter_shortcut_inserts_total", "", [gf_count] {
-    return gf_count(&opc::shortcut_inserts);
-  });
-  registry_.add_counter("gf_filter_ballot_rounds_total", "", [gf_count] {
-    return gf_count(&opc::ballot_rounds);
-  });
-  registry_.add_counter("gf_filter_slots_shifted_total", "", [gf_count] {
-    return gf_count(&opc::slots_shifted);
-  });
+  for (const filter_fact& f : kFilterFacts)
+    registry_.add_counter(f.metric, "", [this, field = f.field] {
+      // relaxed: metrics scrape of a monotone counter.
+      return (store_.metrics().gf_counters.*field)
+          .load(std::memory_order_relaxed);
+    });
 
   // Latency histograms.  Per-opcode wire latency plus the four-stage
   // breakdown — per reactor, labelled lane="k" when more than one lane
@@ -527,16 +531,13 @@ void server::register_metrics() {
           std::string("op=\"") + op_name(static_cast<opcode>(i)) + "\"" +
               lane_lbl,
           &r->op_hist[i]);
-    registry_.add_histogram("gf_wire_stage_ns",
-                            "stage=\"decode\"" + lane_lbl,
-                            &r->stage_decode_ns);
-    registry_.add_histogram("gf_wire_stage_ns", "stage=\"apply\"" + lane_lbl,
-                            &r->stage_apply_ns);
-    registry_.add_histogram("gf_wire_stage_ns",
-                            "stage=\"encode\"" + lane_lbl,
-                            &r->stage_encode_ns);
-    registry_.add_histogram("gf_wire_stage_ns", "stage=\"flush\"" + lane_lbl,
-                            &r->stage_flush_ns);
+    for (auto [stage, hist] : {std::pair{"decode", &r->stage_decode_ns},
+                               std::pair{"apply", &r->stage_apply_ns},
+                               std::pair{"encode", &r->stage_encode_ns},
+                               std::pair{"flush", &r->stage_flush_ns}})
+      registry_.add_histogram(
+          "gf_wire_stage_ns",
+          std::string("stage=\"") + stage + "\"" + lane_lbl, hist);
   }
   // Per-reactor health gauges (rendered under the stop-the-world barrier,
   // so the plain fields read consistently).
@@ -545,17 +546,15 @@ void server::register_metrics() {
     for (uint32_t k = 0; k < nr_; ++k) {
       reactor* r = reactors_[k].get();
       const std::string lbl = "reactor=\"" + std::to_string(k) + "\"";
-      registry_.add_gauge("gf_reactor_connections", lbl, [r] {
-        return static_cast<double>(r->conns.size());
-      });
-      registry_.add_gauge("gf_reactor_mailbox_depth", lbl, [r] {
+      registry_.add_int_gauge("gf_reactor_connections", lbl,
+                              [r] { return r->conns.size(); });
+      registry_.add_int_gauge("gf_reactor_mailbox_depth", lbl, [r] {
         size_t n = 0;
         for (const auto& box : r->inboxes) n += box->depth();
-        return static_cast<double>(n);
+        return n;
       });
-      registry_.add_counter("gf_reactor_handoffs_total", lbl, [r] {
-        return static_cast<double>(r->handoffs);
-      });
+      registry_.add_counter("gf_reactor_handoffs_total", lbl,
+                            [r] { return r->handoffs; });
     }
   }
   registry_.add_histogram("gf_store_bulk_shard_ns", "path=\"insert\"",
@@ -582,36 +581,10 @@ void server::request_stop() {
 
 server_stats server::stats() const {
   server_stats s;
-  // relaxed: stats snapshot: independent monotone gauges, single-writer
-  s.connections_accepted = accepted_.load(std::memory_order_relaxed);
-  s.connections_closed = closed_.load(std::memory_order_relaxed);
-  s.frames_served = frames_.load(std::memory_order_relaxed);
-  s.keys_processed = keys_.load(std::memory_order_relaxed);
-  s.protocol_errors = protocol_errors_.load(std::memory_order_relaxed);
-  s.bytes_in = bytes_in_.load(std::memory_order_relaxed);
-  s.bytes_out = bytes_out_.load(std::memory_order_relaxed);
+  for (const fact& f : kFacts)
+    // relaxed: stats snapshot: independent monotone gauges, single-writer
+    s.*f.field = (this->*f.atom).load(std::memory_order_relaxed);
   s.repl_seq = repl_position();
-  // relaxed: stats snapshot continued — same single-writer monotone gauges.
-  s.subscribers = subscribers_.load(std::memory_order_relaxed);
-  s.frames_forwarded = frames_forwarded_.load(std::memory_order_relaxed);
-  s.subscriber_drops = subscriber_drops_.load(std::memory_order_relaxed);
-  s.subscriber_acked = subscriber_acked_.load(std::memory_order_relaxed);
-  s.subscriber_errors = subscriber_errors_.load(std::memory_order_relaxed);
-  s.invites_failed = invites_failed_.load(std::memory_order_relaxed);
-  s.feed_attached = feed_attached_.load(std::memory_order_relaxed);
-  s.feed_applied = feed_applied_.load(std::memory_order_relaxed);
-  s.feed_gaps = feed_gaps_.load(std::memory_order_relaxed);
-  s.feed_last_seq = feed_last_seq_.load(std::memory_order_relaxed);
-  s.feed_lost = feed_lost_.load(std::memory_order_relaxed);
-  s.deltas_served = deltas_served_.load(std::memory_order_relaxed);
-  s.wal_deltas_served = wal_deltas_served_.load(std::memory_order_relaxed);
-  s.ack_waits = ack_waits_.load(std::memory_order_relaxed);
-  s.ack_degraded = ack_degraded_.load(std::memory_order_relaxed);
-  s.feed_reconnects = feed_reconnects_.load(std::memory_order_relaxed);
-  s.reconnect_failures = reconnect_failures_.load(std::memory_order_relaxed);
-  s.resyncs_delta = resyncs_delta_.load(std::memory_order_relaxed);
-  s.resyncs_snapshot = resyncs_snapshot_.load(std::memory_order_relaxed);
-  s.read_only_refusals = read_only_refusals_.load(std::memory_order_relaxed);
   return s;
 }
 
@@ -2312,6 +2285,15 @@ std::string server::stats_json_text(uint64_t t_now) const {
   w.object_begin();
   store::report_json_fields(store_, w);
   const server_stats s = stats();
+  auto facts = [&](json_section section) {
+    for (const fact& f : kFacts) {
+      if (f.section != section) continue;
+      if (f.kind == kFlag)
+        w.field(f.key, s.*f.field != 0);
+      else
+        w.field(f.key, s.*f.field);
+    }
+  };
   size_t ack_pending = 0;
   for (const auto& rx : reactors_) ack_pending += rx->pending_acks.size();
   w.key("server").object_begin();
@@ -2321,42 +2303,20 @@ std::string server::stats_json_text(uint64_t t_now) const {
       .field("counters_enabled", obs::kCountersEnabled)
       .field("uptime_seconds",
              static_cast<double>(t_now - start_ns_) / 1e9, 3)
-      .field("reactors", nr_)
-      .field("frames_served", s.frames_served)
-      .field("keys_processed", s.keys_processed)
-      .field("protocol_errors", s.protocol_errors)
-      .field("bytes_in", s.bytes_in)
-      .field("bytes_out", s.bytes_out);
+      .field("reactors", nr_);
+  facts(kServer);
   w.object_end();
   w.key("replication").object_begin();
   w.field("role",
           cfg_.read_only || s.feed_attached ? "replica" : "primary")
       .field("read_only", cfg_.read_only)
       .field("repl_seq", s.repl_seq)
-      .field("lanes", active_lanes())
-      .field("subscribers", s.subscribers)
-      .field("frames_forwarded", s.frames_forwarded)
-      .field("subscriber_acked", s.subscriber_acked)
-      .field("subscriber_drops", s.subscriber_drops)
-      .field("subscriber_errors", s.subscriber_errors)
-      .field("feed_attached", s.feed_attached != 0)
-      .field("feed_last_seq", s.feed_last_seq)
-      .field("feed_applied", s.feed_applied)
-      .field("feed_gaps", s.feed_gaps)
-      .field("feed_lost", s.feed_lost)
-      .field("feed_reconnects", s.feed_reconnects)
-      .field("reconnect_failures", s.reconnect_failures)
-      .field("resyncs_delta", s.resyncs_delta)
-      .field("resyncs_snapshot", s.resyncs_snapshot)
-      .field("deltas_served", s.deltas_served)
-      .field("wal_deltas_served", s.wal_deltas_served)
-      .field("ack_replicas", cfg_.ack_replicas)
-      .field("ack_waits", s.ack_waits)
-      .field("ack_degraded", s.ack_degraded)
+      .field("lanes", active_lanes());
+  facts(kReplication);
+  w.field("ack_replicas", cfg_.ack_replicas)
       .field("ack_pending", ack_pending)
       .field("ring_frames", log_.size())
-      .field("ring_bytes", log_.bytes())
-      .field("read_only_refusals", s.read_only_refusals);
+      .field("ring_bytes", log_.bytes());
   w.object_end();
   w.key("durability").object_begin();
   w.field("armed", cfg_.durability != nullptr);
@@ -2364,20 +2324,8 @@ std::string server::stats_json_text(uint64_t t_now) const {
     const persist::durability_stats d = cfg_.durability->stats();
     w.field("wal_dir", cfg_.durability->dir())
         .field("fsync",
-               persist::fsync_policy_name(cfg_.durability->policy()))
-        .field("wal_bytes", d.wal_bytes)
-        .field("wal_frames", d.wal_frames)
-        .field("wal_fsyncs", d.wal_fsyncs)
-        .field("wal_segments", d.wal_segments)
-        .field("segments_rotated", d.segments_rotated)
-        .field("wal_last_seq", d.last_seq)
-        .field("checkpoints", d.checkpoints)
-        .field("checkpoint_seq", d.checkpoint_seq)
-        .field("checkpoint_bytes", d.checkpoint_bytes)
-        .field("recovery_replayed_frames", d.recovery_replayed_frames)
-        .field("recovery_truncated_bytes", d.recovery_truncated_bytes)
-        .field("recovery_gaps", d.recovery_gaps)
-        .field("wal_deltas_served", s.wal_deltas_served);
+               persist::fsync_policy_name(cfg_.durability->policy()));
+    for (const wal_fact& f : kWalFacts) w.field(f.key, d.*f.field);
   }
   w.object_end();
   w.object_end();

@@ -235,7 +235,10 @@ struct server_config {
   connect_fn connector;
 };
 
-/// Plain-value counters snapshot (readable while the loop runs).
+/// Plain-value counters snapshot (readable while the loop runs).  Every
+/// field but repl_seq is one row of server.cpp's fact table, which also
+/// renders it as a metric and (unless scrape-only) as the STATS JSON key
+/// of the same name.
 struct server_stats {
   uint64_t connections_accepted = 0;
   uint64_t connections_closed = 0;
@@ -400,9 +403,11 @@ class server {
   void sweep_dead(reactor& r);
   void condemn(reactor& r, connection& c, const std::string& why);
   void append_out(connection& c, std::vector<uint8_t> bytes);
-  /// (Re)build the metrics registry.  Called at construction and again
-  /// whenever the store is replaced wholesale (a bootstrap invite), since
-  /// histogram registrations point into the store's metrics bundle.
+  /// (Re)build the metrics registry: one registration per fact-table row
+  /// (server.cpp), then the facts that are not one field.  Called at
+  /// construction and again whenever the store is replaced wholesale (a
+  /// bootstrap invite), since histogram registrations point into the
+  /// store's metrics bundle.
   void register_metrics();
 
   // -- Reactor machinery ----------------------------------------------------
@@ -432,6 +437,9 @@ class server {
   /// when non-null.
   void maintain_all_slices(reactor& r, connection* c, uint64_t client_seq,
                            uint32_t begin, uint32_t end, uint64_t t_start);
+  /// STATS JSON: the store report plus the server, replication and
+  /// durability sections, each the fact-table rows placed there plus the
+  /// section's hand-written facts.
   std::string stats_json_text(uint64_t t_now) const;
   bool process_inboxes(reactor& r);
   void dispatch_msg(reactor& r, reactor_msg& m);
@@ -491,6 +499,11 @@ class server {
   /// Next expected feed sequence per lane (reactor-0 state).
   std::map<uint32_t, uint64_t> feed_expected_by_lane_;
 
+  // Counters and gauges.  Each is one row of the fact table (server.cpp),
+  // which gives its server_stats field, metric and STATS JSON place;
+  // stats(), the scrape and the STATS JSON are loops over that table.
+  struct fact;
+  static const fact kFacts[];
   std::atomic<uint64_t> accepted_{0};
   std::atomic<uint64_t> closed_{0};
   std::atomic<uint64_t> frames_{0};
@@ -533,7 +546,8 @@ class server {
 
   // -- Observability (src/obs/) ---------------------------------------------
   // Latency histograms and trace rings live per reactor (single-writer
-  // each); the registry points at all of them.
+  // each); the registry points at all of them and reads the atomics
+  // above through the fact table's rows.
 
   obs::metrics_registry registry_;
   uint64_t start_ns_ = 0;              ///< construction time (uptime)

@@ -1,13 +1,15 @@
 // Metrics registry with a Prometheus-style text exposition.
 //
 // The registry is a declaration surface: components register named
-// counters (monotone uint64), gauges (instantaneous double), and latency
-// histograms once at startup, each as a name + label string + a way to
-// read the current value.  Counters and gauges are pull-based closures so
-// registration never changes how a component stores its state — existing
-// atomics (server_stats, op_stats, util::op_counters) are scraped in
-// place.  Histograms register by pointer and are snapshotted at render
-// time.
+// counters (monotone uint64), gauges, and latency histograms once at
+// startup, each as a name + label string + a way to read the current
+// value.  A gauge is either an integer gauge (uint64, rendered exactly
+// with %llu — sizes, positions, counts) or a double gauge (rendered with
+// %.6g — ratios, seconds).  Counters and gauges are pull-based closures,
+// so registration never changes how a component stores its state: the
+// reader loads the component's own atomic or field at render time
+// (net/server.cpp builds its closures from one fact table).  Histograms
+// register by pointer and are snapshotted at render time.
 //
 // render() produces the classic text format, one `name{labels} value` per
 // line with `# TYPE` headers, so CI and operators can scrape with grep
@@ -46,8 +48,15 @@ class metrics_registry {
   void add_counter(std::string name, std::string labels, counter_fn read) {
     counters_.push_back({std::move(name), std::move(labels), std::move(read)});
   }
+  /// A double gauge, rendered with %.6g (six significant digits).
   void add_gauge(std::string name, std::string labels, gauge_fn read) {
-    gauges_.push_back({std::move(name), std::move(labels), std::move(read)});
+    gauges_.push_back(
+        {std::move(name), std::move(labels), std::move(read), {}});
+  }
+  /// An integer gauge, rendered exactly.
+  void add_int_gauge(std::string name, std::string labels, counter_fn read) {
+    gauges_.push_back(
+        {std::move(name), std::move(labels), {}, std::move(read)});
   }
   /// The histogram must outlive the registry (registries live on the
   /// component that owns the histograms, so this is structural).
@@ -93,7 +102,10 @@ class metrics_registry {
     last_type_name = nullptr;
     for (const auto& g : gauges_) {
       type_line(g.name, "gauge");
-      append_sample(out, g.name, g.labels, nullptr, g.read());
+      if (g.read_int)
+        append_sample(out, g.name, g.labels, nullptr, g.read_int());
+      else
+        append_sample(out, g.name, g.labels, nullptr, g.read());
     }
     last_type_name = nullptr;
     for (const auto& h : histograms_) {
@@ -109,7 +121,8 @@ class metrics_registry {
   };
   struct gauge_entry {
     std::string name, labels;
-    gauge_fn read;
+    gauge_fn read;        ///< double gauge, or
+    counter_fn read_int;  ///< integer gauge when set
   };
   struct histogram_entry {
     std::string name, labels;

@@ -24,6 +24,27 @@
 
 namespace gf::store {
 
+/// The shard op counters, one row each: the STATS `ops` key and the
+/// metric net/server.cpp sums over every shard read the same field.
+struct op_stat_fact {
+  uint64_t util::op_stats::snapshot::* field;
+  const char* key;
+  const char* metric;
+};
+inline constexpr op_stat_fact kOpStatFacts[] = {
+    {&util::op_stats::snapshot::inserts, "inserts", "gf_store_inserts_total"},
+    {&util::op_stats::snapshot::insert_failures, "insert_failures",
+     "gf_store_insert_failures_total"},
+    {&util::op_stats::snapshot::queries, "queries", "gf_store_queries_total"},
+    {&util::op_stats::snapshot::query_hits, "query_hits",
+     "gf_store_query_hits_total"},
+    {&util::op_stats::snapshot::erases, "erases", "gf_store_erases_total"},
+    {&util::op_stats::snapshot::erase_failures, "erase_failures",
+     "gf_store_erase_failures_total"},
+    {&util::op_stats::snapshot::batches_drained, "batches_drained",
+     "gf_store_batches_drained_total"},
+};
+
 /// Emit the report fields into an already-open JSON object — callers that
 /// wrap the store report with extra sections (net/server.cpp adds a
 /// "replication" object to STATS) reuse the exact schema instead of
@@ -50,17 +71,9 @@ inline void report_json_fields(const filter_store& store,
         .field("load_factor", r.load_factor, 4)
         .field("levels", r.levels)
         .field("deepest_load", r.deepest_load, 4);
-    w.key("ops")
-        .object_begin()
-        .field("inserts", r.ops.inserts)
-        .field("insert_failures", r.ops.insert_failures)
-        .field("queries", r.ops.queries)
-        .field("query_hits", r.ops.query_hits)
-        .field("erases", r.ops.erases)
-        .field("erase_failures", r.ops.erase_failures)
-        .field("batches_drained", r.ops.batches_drained)
-        .object_end();
-    w.object_end();
+    w.key("ops").object_begin();
+    for (const op_stat_fact& f : kOpStatFacts) w.field(f.key, r.ops.*f.field);
+    w.object_end().object_end();
   }
   w.array_end();
 }

@@ -58,6 +58,26 @@ TEST(ObsRegistry, CounterAndGaugeRendering) {
   EXPECT_NE(text.find("test_load 0.25\n"), std::string::npos);
 }
 
+TEST(ObsRegistry, IntegerGaugesRenderExactly) {
+  // Sizes and stream positions past six significant digits must not round
+  // (4194304 as a double gauge renders 4.1943e+06).
+  obs::metrics_registry reg;
+  reg.add_int_gauge("test_items", "", [] { return uint64_t{4194304}; });
+  reg.add_int_gauge("test_seq", "lane=\"1\"",
+                    [] { return (uint64_t{1} << 56) + 1; });
+  reg.add_gauge("test_items_double", "", [] { return 4194304.0; });
+
+  const std::string text = reg.render();
+  EXPECT_NE(text.find("# TYPE test_items gauge\n"), std::string::npos);
+  EXPECT_NE(text.find("\ntest_items 4194304\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("\ntest_seq{lane=\"1\"} 72057594037927937\n"),
+            std::string::npos)
+      << text;
+  // A double gauge keeps %.6g.
+  EXPECT_NE(text.find("\ntest_items_double 4.1943e+06\n"), std::string::npos)
+      << text;
+}
+
 TEST(ObsRegistry, CountersMonotoneAcrossRenders) {
   obs::metrics_registry reg;
   uint64_t work = 0;

@@ -232,6 +232,10 @@ TEST(PersistRecovery, RestartReplaysOnlyFramesAboveTheCheckpoint) {
                          std::to_string(final_seq - ckpt_seq)),
             std::string::npos)
       << metrics.substr(0, 512);
+  // So does the count of replays stopped at a hole (none here).
+  EXPECT_NE(metrics.find("\ngf_recovery_gaps " +
+                         std::to_string(eng.stats().recovery_gaps) + "\n"),
+            std::string::npos);
   std::filesystem::remove_all(dir);
 }
 

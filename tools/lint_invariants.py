@@ -50,6 +50,14 @@ Checks enforced:
    durability_engine pointer or reference in the same file.  Comments are
    not checked.
 
+7. metric-docs-parity: every `"gf_..."` metric family literal in src/
+   appears in README's metric table (the `| family | type | notes |` table
+   under Observability), and every family that table names exists as such
+   a literal in src/.  Rows name each family in full: a wildcard
+   (`gf_repl_feed_*`) or an elided list (`...`) hides which families
+   exist, so both are violations.  Adding a metric is one fact-table row in
+   src/ plus one name in that table.
+
 Exit status: 0 clean, 1 violations (printed one per line as
 file:line: message).
 """
@@ -90,6 +98,10 @@ ENGINE_CALL = r"\s*(?:->|\.)\s*(?:append|covers|encode_from)\s*\("
 RING_DECL_RE = re.compile(r"\breplay_ring\s*>|\breplay_ring\s+\w+\s*[;({=]")
 SERVER_FILES = (REPO / "src" / "net" / "server.h",
                 REPO / "src" / "net" / "server.cpp")
+README = REPO / "README.md"
+METRIC_TABLE_HEAD = "| family | type | notes |"
+FAMILY_LITERAL_RE = re.compile(r'"(gf_[a-z0-9_]+)"')
+FAMILY_DOC_RE = re.compile(r"gf_[a-z0-9_]+\*?")
 # A new function starts at an unindented definition line ("inline ...",
 # "class ...", templates, etc.) — good enough to scope the codec check.
 FUNC_START_RE = re.compile(r"^[a-zA-Z/]")
@@ -194,6 +206,43 @@ def check_one_server_ring(errors: list[str]) -> None:
                 )
 
 
+def check_metric_docs(errors: list[str]) -> None:
+    in_src: dict[str, str] = {}
+    for path in sorted((REPO / "src").rglob("*")):
+        if path.suffix not in {".h", ".cpp"}:
+            continue
+        for i, line in enumerate(path.read_text(encoding="utf-8").splitlines()):
+            for name in FAMILY_LITERAL_RE.findall(line.split("//", 1)[0]):
+                in_src.setdefault(name, f"{path.relative_to(REPO)}:{i + 1}")
+    lines = README.read_text(encoding="utf-8").splitlines()
+    if METRIC_TABLE_HEAD not in lines:
+        errors.append(f"README.md: no metric table ({METRIC_TABLE_HEAD})")
+        return
+    documented: set[str] = set()
+    start = lines.index(METRIC_TABLE_HEAD)
+    for i in range(start + 2, len(lines)):
+        if not lines[i].startswith("|"):
+            break
+        # Label values may be elided (`op="insert"/...`); names may not.
+        family_cell = re.sub(r"\{[^}]*\}", "", lines[i].split("|")[1])
+        where = f"README.md:{i + 1}"
+        if "..." in family_cell:
+            errors.append(f"{where}: metric table row elides families (...)")
+        for name in FAMILY_DOC_RE.findall(family_cell):
+            if name.endswith("*"):
+                errors.append(f"{where}: wildcard family {name} in the "
+                              f"metric table (name each family)")
+                continue
+            documented.add(name)
+            if name not in in_src:
+                errors.append(f"{where}: documented family {name} is not a "
+                              f'"{name}" literal in src/')
+    for name, where in sorted(in_src.items()):
+        if name not in documented:
+            errors.append(f"{where}: metric family {name} is missing from "
+                          f"README's metric table")
+
+
 def check_codec_narrowing(path: Path, lines: list[str],
                           errors: list[str]) -> None:
     func_start = 0
@@ -224,6 +273,7 @@ def main() -> int:
             check_one_frame_path(path, lines, errors)
             check_one_log_caller(path, lines, errors)
     check_one_server_ring(errors)
+    check_metric_docs(errors)
 
     codec = REPO / "src" / "net" / "codec.h"
     check_codec_narrowing(codec, codec.read_text(encoding="utf-8").splitlines(),
